@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths behind the paper's
 // "negligible overhead for token management" claim and for the simulator
-// substrate itself: event queues (binary heap vs timing wheel), stations,
+// substrate itself: the event queue, stations,
 // the token-report packing, Algorithm 1, and the zipfian sampler — plus
 // the tracing-overhead contract (DESIGN.md §9.2): after the google
 // benchmarks, main() sweeps full experiments over token batch B with the
@@ -24,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "runtime/shared_region.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timing_wheel.hpp"
 #include "stats/histogram.hpp"
 #include "workload/distributions.hpp"
 
@@ -81,10 +80,6 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_TEMPLATE(BM_EventQueueChurn, sim::BinaryHeapEventQueue)
-    ->Arg(64)
-    ->Arg(4096)
-    ->Arg(262144);
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, sim::HierarchicalTimingWheel)
     ->Arg(64)
     ->Arg(4096)
     ->Arg(262144);

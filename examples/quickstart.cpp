@@ -82,9 +82,8 @@ int main() {
   core::ClientQosEngine engine(sim, client_id, qos, client_node, qos_qp,
                                ctrl_qp, wiring.value());
   engine.SetIoBackend([&kv](std::uint64_t key, bool /*is_write*/,
-                            core::ClientQosEngine::CompleteFn done) {
-    return kv.GetOneSided(key, [done = std::move(done)](
-                                   const kvstore::KvClient::Completion& c) {
+                            core::ClientQosEngine::IoDone done) {
+    return kv.GetOneSided(key, [done](const kvstore::KvClient::Completion& c) {
       if (!c.status.ok()) {
         std::fprintf(stderr, "GET failed: %s\n", c.status.ToString().c_str());
       }

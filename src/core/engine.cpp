@@ -450,24 +450,38 @@ void ClientQosEngine::IssueOne(std::int64_t token_source) {
                       obs::EventType::kIoIssue, period_,
                       static_cast<std::int64_t>(request.io_id), token_source,
                       static_cast<std::int64_t>(queue_.size()));
-  const Status s = backend_(
-      request.key, request.is_write,
-      [this, io_id = request.io_id, done = std::move(request.done)] {
-        --backend_outstanding_;
-        ++stats_.completed_this_period;
-        ++stats_.completed_total;
-        HAECHI_TRACE_DETAIL(obs::ActorKind::kEngine, trace_actor_,
-                            obs::EventType::kIoComplete, period_,
-                            static_cast<std::int64_t>(io_id),
-                            static_cast<std::int64_t>(backend_outstanding_));
-        done();
-        // A completion frees backend capacity; anything parked for that
-        // reason gets another chance.
-        TryIssue();
-      });
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  in_flight_[slot].io_id = request.io_id;
+  in_flight_[slot].done = std::move(request.done);
+  const Status s =
+      backend_(request.key, request.is_write, IoDone(this, slot));
   // The outstanding cap above guarantees the backend has room; a failure
   // here is a wiring bug (mismatched capacities), not a runtime condition.
   HAECHI_ASSERT(s.ok());
+}
+
+void ClientQosEngine::OnBackendDone(std::uint32_t slot) {
+  [[maybe_unused]] const std::uint64_t io_id = in_flight_[slot].io_id;
+  CompleteFn done = std::move(in_flight_[slot].done);
+  free_in_flight_.push_back(slot);
+  --backend_outstanding_;
+  ++stats_.completed_this_period;
+  ++stats_.completed_total;
+  HAECHI_TRACE_DETAIL(obs::ActorKind::kEngine, trace_actor_,
+                      obs::EventType::kIoComplete, period_,
+                      static_cast<std::int64_t>(io_id),
+                      static_cast<std::int64_t>(backend_outstanding_));
+  done();
+  // A completion frees backend capacity; anything parked for that reason
+  // gets another chance.
+  TryIssue();
 }
 
 }  // namespace haechi::core

@@ -36,14 +36,29 @@ namespace haechi::core {
 class ClientQosEngine {
  public:
   /// Completion callback for one application I/O.
-  using CompleteFn = std::function<void()>;
+  using CompleteFn = sim::Callback;
+
+  /// The backend's completion handle for one issued I/O: two words naming
+  /// the engine and the I/O's slot in its in-flight table, so a backend can
+  /// carry it inside its own inline callback.
+  class IoDone {
+   public:
+    void operator()() const { engine_->OnBackendDone(slot_); }
+
+   private:
+    friend class ClientQosEngine;
+    IoDone(ClientQosEngine* engine, std::uint32_t slot)
+        : engine_(engine), slot_(slot) {}
+    ClientQosEngine* engine_;
+    std::uint32_t slot_;
+  };
 
   /// Issues one data I/O (GET or PUT); must call `done` exactly once at
   /// completion, or return a non-OK status synchronously. QoS accounting
   /// is op-agnostic: reads and writes consume tokens identically (both are
   /// record-sized one-sided ops).
   using IoBackendFn =
-      std::function<Status(std::uint64_t key, bool is_write, CompleteFn done)>;
+      std::function<Status(std::uint64_t key, bool is_write, IoDone done)>;
 
   struct Stats {
     std::uint64_t periods_started = 0;
@@ -126,6 +141,11 @@ class ClientQosEngine {
     std::uint64_t io_id;
     CompleteFn done;
   };
+  /// An issued I/O awaiting its backend completion.
+  struct InFlight {
+    std::uint64_t io_id = 0;
+    CompleteFn done;
+  };
 
   void HandleCtrl(const rdma::WorkCompletion& wc);
   void OnPeriodStart(const PeriodStartMsg& msg);
@@ -139,6 +159,7 @@ class ClientQosEngine {
   /// Pops the queue head and hands it to the backend. `token_source` is the
   /// wire encoding for kIoIssue.b: 0 = reservation token, 1 = pool token.
   void IssueOne(std::int64_t token_source);
+  void OnBackendDone(std::uint32_t slot);
   void PostTokenFetch();
   void ArmFaaRetry();
 
@@ -192,6 +213,8 @@ class ClientQosEngine {
   std::uint8_t report_seq_ = 0;
 
   std::deque<Pending> queue_;
+  std::vector<InFlight> in_flight_;  // indexed by IoDone slot
+  std::vector<std::uint32_t> free_in_flight_;
   std::uint64_t next_io_id_ = 0;
   Stats stats_;
 

@@ -234,10 +234,9 @@ void ClusterExperiment::Build() {
       kvstore::KvClient* kv = kv_clients_[i][d].get();
       engine->SetIoBackend(
           [kv](std::uint64_t key, bool /*is_write*/,
-               core::ClientQosEngine::CompleteFn done) {
+               core::ClientQosEngine::IoDone done) {
             return kv->GetOneSided(
-                key, [done = std::move(done)](
-                         const kvstore::KvClient::Completion&) { done(); });
+                key, [done](const kvstore::KvClient::Completion&) { done(); });
           });
 
       workload::DemandGenerator::Config gen;
@@ -254,9 +253,10 @@ void ClusterExperiment::Build() {
           [this, eng, client_id, d](
               std::uint64_t key, bool /*is_write*/,
               workload::DemandGenerator::CompleteFn cb) {
-            auto counted = [this, client_id, d, cb](bool measured) {
+            const auto node = static_cast<std::uint32_t>(d);
+            auto counted = [this, client_id, node, cb](bool measured) {
               if (measured && measuring_) {
-                result_->node_series[d].Add(client_id, 1);
+                result_->node_series[node].Add(client_id, 1);
               }
               cb();
             };

@@ -43,6 +43,11 @@ std::span<const std::byte> Experiment::WriteValue() {
   return write_value_;
 }
 
+void Experiment::CountServed(ClientId client,
+                             const kvstore::KvClient::Completion& completion) {
+  if (completion.status.ok() && measuring_) result_->series.Add(client, 1);
+}
+
 void Experiment::BuildCluster() {
   fabric_ = std::make_unique<rdma::Fabric>(sim_, config_.net, config_.seed);
   fabric_->set_copy_payloads(config_.copy_payloads);
@@ -270,21 +275,14 @@ void Experiment::WireClient(std::size_t index) {
     kvstore::KvClient* kv = kv_client.get();
     qos_engine->SetIoBackend(
         [kv, this, client_id](std::uint64_t key, bool is_write,
-                              core::ClientQosEngine::CompleteFn done) {
-          // Only I/Os the data node actually served count toward the
-          // measured series: under fault injection a flushed or timed-out
-          // op completes with an error and delivered no service.
-          auto finish = [this, client_id, done = std::move(done)](
+                              core::ClientQosEngine::IoDone done) {
+          auto finish = [this, client_id, done](
                             const kvstore::KvClient::Completion& completion) {
-            if (completion.status.ok() && measuring_) {
-              result_->series.Add(client_id, 1);
-            }
+            CountServed(client_id, completion);
             done();
           };
-          if (is_write) {
-            return kv->PutOneSided(key, WriteValue(), std::move(finish));
-          }
-          return kv->GetOneSided(key, std::move(finish));
+          if (is_write) return kv->PutOneSided(key, WriteValue(), finish);
+          return kv->GetOneSided(key, finish);
         });
     engine = qos_engine.get();
     engines_.push_back(std::move(qos_engine));
@@ -323,11 +321,9 @@ void Experiment::WireClient(std::size_t index) {
     submit = [this, kv, two_sided, client_id](
                  std::uint64_t key, bool is_write,
                  workload::DemandGenerator::CompleteFn cb) {
-      auto done = [this, client_id, cb = std::move(cb)](
+      auto done = [this, client_id, cb](
                       const kvstore::KvClient::Completion& completion) {
-        if (completion.status.ok() && measuring_) {
-          result_->series.Add(client_id, 1);
-        }
+        CountServed(client_id, completion);
         cb();
       };
       Status s;
@@ -384,12 +380,10 @@ void Experiment::BuildBackground(std::size_t index) {
       sim_, gen_config, std::move(chooser),
       [kv](std::uint64_t key, bool /*is_write*/,
            workload::DemandGenerator::CompleteFn cb) {
-        auto done = std::make_shared<workload::DemandGenerator::CompleteFn>(
-            std::move(cb));
         const Status s = kv->GetOneSided(
-            key, [done](const kvstore::KvClient::Completion&) { (*done)(); });
+            key, [cb](const kvstore::KvClient::Completion&) { cb(); });
         // Background jobs tolerate saturation: drop on backpressure.
-        if (!s.ok()) (*done)();
+        if (!s.ok()) cb();
       });
 
   workload::DemandGenerator* gen = generator.get();
@@ -699,6 +693,9 @@ ExperimentResult Experiment::Run() {
   if (monitor_) monitor_->Stop();
   for (auto& rig : rigs_) rig.generator->Stop();
   for (auto& generator : background_gens_) generator->Stop();
+  // The result is moved out below: I/Os still in flight must not record
+  // their latency into its moved-from histogram.
+  for (auto& generator : generators_) generator->SetLatencySink(nullptr);
 
   return std::move(*result_);
 }

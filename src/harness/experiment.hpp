@@ -274,6 +274,11 @@ class Experiment {
   /// Record-sized dummy payload shared by all PUTs (its bytes only matter
   /// when payload copying is on).
   [[nodiscard]] std::span<const std::byte> WriteValue();
+  /// Adds a completed I/O to the measured series. Only I/Os the data node
+  /// actually served count: under fault injection a flushed or timed-out
+  /// op completes with an error and delivered no service.
+  void CountServed(ClientId client,
+                   const kvstore::KvClient::Completion& completion);
 
   ExperimentConfig config_;
   sim::Simulator sim_;

@@ -41,17 +41,47 @@ std::span<std::byte> KvClient::SlotSpan(std::size_t slot) {
 
 Status KvClient::PostGet(std::uint64_t key, std::size_t slot,
                          std::uint32_t attempts, bool owns_slot,
-                         DoneFn done) {
+                         DoneFn& done) {
   const std::uint64_t wr_id = next_wr_id_++;
   const Status s = data_qp_.PostRead(wr_id, SlotSpan(slot),
                                      view_.RecordAddr(key), view_.data_rkey);
-  if (!s.ok()) {
-    if (owns_slot) free_slots_.push_back(slot);
-    return s;
-  }
-  ops_.emplace(wr_id, PendingOp{key, slot, rdma::Opcode::kRead, attempts,
-                                owns_slot, std::move(done)});
+  if (!s.ok()) return s;
+  const std::size_t index = ClaimOp(wr_id);
+  ops_[index] = PendingOp{wr_id, key, slot, rdma::Opcode::kRead, attempts,
+                          owns_slot, std::move(done)};
   return Status::Ok();
+}
+
+std::size_t KvClient::ClaimOp(std::uint64_t wr_id) {
+  while (ops_.empty() || ops_[wr_id & (ops_.size() - 1)].wr_id != 0) {
+    GrowOps();
+  }
+  ++outstanding_;
+  return wr_id & (ops_.size() - 1);
+}
+
+void KvClient::GrowOps() {
+  // The smallest doubling under which the live wr_ids map one-to-one.
+  std::size_t size = std::max<std::size_t>(64, ops_.size() * 2);
+  for (;; size *= 2) {
+    std::vector<bool> used(size);
+    bool clash = false;
+    for (const PendingOp& op : ops_) {
+      if (op.wr_id == 0) continue;
+      const std::size_t index = op.wr_id & (size - 1);
+      if (used[index]) {
+        clash = true;
+        break;
+      }
+      used[index] = true;
+    }
+    if (!clash) break;
+  }
+  std::vector<PendingOp> grown(size);
+  for (PendingOp& op : ops_) {
+    if (op.wr_id != 0) grown[op.wr_id & (size - 1)] = std::move(op);
+  }
+  ops_ = std::move(grown);
 }
 
 void KvClient::ReleaseSlot(const PendingOp& op) {
@@ -68,14 +98,16 @@ Status KvClient::GetOneSided(std::uint64_t key, DoneFn done) {
   }
   if (!node_.fabric().copy_payloads()) {
     // Timing-only mode: no bytes move, so all GETs share slot 0.
-    return PostGet(key, 0, 1, /*owns_slot=*/false, std::move(done));
+    return PostGet(key, 0, 1, /*owns_slot=*/false, done);
   }
   if (free_slots_.empty()) {
     return ErrResourceExhausted("no free GET slots");
   }
   const std::size_t slot = free_slots_.back();
   free_slots_.pop_back();
-  return PostGet(key, slot, 1, /*owns_slot=*/true, std::move(done));
+  const Status s = PostGet(key, slot, 1, /*owns_slot=*/true, done);
+  if (!s.ok()) free_slots_.push_back(slot);
+  return s;
 }
 
 Status KvClient::PutOneSided(std::uint64_t key,
@@ -119,16 +151,19 @@ Status KvClient::PutOneSided(std::uint64_t key,
     if (pooled) free_slots_.push_back(slot);
     return s;
   }
-  ops_.emplace(wr_id, PendingOp{key, slot, rdma::Opcode::kWrite, 1,
-                                /*owns_slot=*/pooled, std::move(done)});
+  const std::size_t index = ClaimOp(wr_id);
+  ops_[index] = PendingOp{wr_id, key, slot, rdma::Opcode::kWrite, 1,
+                          /*owns_slot=*/pooled, std::move(done)};
   return Status::Ok();
 }
 
 void KvClient::OnDataCompletion(const rdma::WorkCompletion& wc) {
-  const auto it = ops_.find(wc.wr_id);
-  HAECHI_ASSERT(it != ops_.end());
-  PendingOp op = std::move(it->second);
-  ops_.erase(it);
+  HAECHI_ASSERT(!ops_.empty());
+  PendingOp& entry = ops_[wc.wr_id & (ops_.size() - 1)];
+  HAECHI_ASSERT(entry.wr_id == wc.wr_id);
+  PendingOp op = std::move(entry);
+  entry.wr_id = 0;
+  --outstanding_;
   const std::uint32_t attempts = op.attempts;
 
   if (!wc.ok()) {
@@ -158,7 +193,7 @@ void KvClient::OnDataCompletion(const rdma::WorkCompletion& wc) {
       ++torn_retries_;
       if (op.attempts < config_.read_retry_limit) {
         const Status s = PostGet(op.key, op.slot, op.attempts + 1,
-                                 op.owns_slot, std::move(op.done));
+                                 op.owns_slot, op.done);
         if (s.ok()) return;
       }
       ReleaseSlot(op);

@@ -9,14 +9,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
 #include "kvstore/layout.hpp"
 #include "rdma/fabric.hpp"
+#include "sim/callback.hpp"
 
 namespace haechi::kvstore {
 
@@ -38,7 +37,7 @@ class KvClient {
     std::span<const std::byte> data;
     std::uint32_t retries = 0;
   };
-  using DoneFn = std::function<void(const Completion&)>;
+  using DoneFn = sim::InlineFunction<void(const Completion&)>;
 
   /// `data_qp` must be connected to a QP on the store's node.
   KvClient(rdma::Node& node, rdma::QueuePair& data_qp, StoreView view,
@@ -69,17 +68,20 @@ class KvClient {
                 DoneFn done);
 
   [[nodiscard]] const StoreView& view() const { return view_; }
-  [[nodiscard]] std::size_t OutstandingOneSided() const { return ops_.size(); }
+  [[nodiscard]] std::size_t OutstandingOneSided() const {
+    return outstanding_;
+  }
   [[nodiscard]] std::uint64_t TornReadRetries() const { return torn_retries_; }
   [[nodiscard]] std::uint64_t OpsCompleted() const { return completed_; }
 
  private:
   struct PendingOp {
-    std::uint64_t key;
-    std::size_t slot;
-    rdma::Opcode opcode;
-    std::uint32_t attempts;
-    bool owns_slot;
+    std::uint64_t wr_id = 0;  // 0: the table entry is free
+    std::uint64_t key = 0;
+    std::size_t slot = 0;
+    rdma::Opcode opcode = rdma::Opcode::kRead;
+    std::uint32_t attempts = 0;
+    bool owns_slot = false;
     DoneFn done;
   };
   struct PendingRpc {
@@ -91,9 +93,15 @@ class KvClient {
   void OnDataCompletion(const rdma::WorkCompletion& wc);
   void OnRpcReply(const rdma::WorkCompletion& wc);
   void FinishOp(PendingOp op, const Completion& completion);
+  /// Posts the READ and records it; `done` is moved from only on success,
+  /// and on failure the caller still owns `done` and the buffer slot.
   Status PostGet(std::uint64_t key, std::size_t slot, std::uint32_t attempts,
-                 bool owns_slot, DoneFn done);
+                 bool owns_slot, DoneFn& done);
   void ReleaseSlot(const PendingOp& op);
+  /// Index of the free ops_ entry for `wr_id`; grows the table on a
+  /// collision.
+  std::size_t ClaimOp(std::uint64_t wr_id);
+  void GrowOps();
 
   rdma::Node& node_;
   rdma::QueuePair& data_qp_;
@@ -102,7 +110,11 @@ class KvClient {
   std::vector<std::byte> pool_;
   const rdma::MemoryRegion* pool_mr_ = nullptr;
   std::vector<std::size_t> free_slots_;
-  std::unordered_map<std::uint64_t, PendingOp> ops_;
+  // One-sided ops in flight, direct-mapped by wr_id (a power-of-two
+  // table). wr_ids are dense and increasing, so a table wider than the span
+  // of live wr_ids never collides; a collision doubles it.
+  std::vector<PendingOp> ops_;
+  std::size_t outstanding_ = 0;
   std::uint64_t next_wr_id_ = 1;
   std::uint64_t torn_retries_ = 0;
   std::uint64_t completed_ = 0;

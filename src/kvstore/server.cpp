@@ -150,49 +150,52 @@ void KvServer::HandleRpc(RpcEndpoint& endpoint,
   // this is the two-sided bottleneck the paper measures in Experiment 1B.
   const SimDuration service = node_.fabric().params().ScaledService(
       node_.fabric().params().server_rpc_service);
-  node_.cpu().Submit(
-      endpoint.qp->id(), service,
-      [this, &endpoint, request, payload = std::move(put_payload)] {
-        ++rpcs_served_;
-        RpcReply reply{};
-        reply.key = request.key;
-        std::size_t reply_len = sizeof(RpcReply);
-        switch (request.op) {
-          case RpcOp::kGet: {
-            if (request.key >= config_.record_count) {
-              reply.status = RpcStatus::kNotFound;
-              break;
-            }
-            reply.status = RpcStatus::kOk;
-            reply.payload_bytes = config_.payload_bytes;
-            const std::byte* record =
-                RecordPtr(request.key) + kVersionBytes;
-            std::memcpy(endpoint.reply_buffer.data() + sizeof(RpcReply),
-                        record, config_.payload_bytes);
-            reply_len += config_.payload_bytes;
-            break;
-          }
-          case RpcOp::kPut: {
-            const Status s = Put(request.key, payload);
-            reply.status = s.ok() ? RpcStatus::kOk
-                                  : (s.code() == StatusCode::kNotFound
-                                         ? RpcStatus::kNotFound
-                                         : RpcStatus::kBadRequest);
-            break;
-          }
-          default:
-            reply.status = RpcStatus::kBadRequest;
-        }
-        std::memcpy(endpoint.reply_buffer.data(), &reply, sizeof(reply));
-        const Status s = endpoint.qp->PostSend(
-            /*wr_id=*/0,
-            std::span<const std::byte>(endpoint.reply_buffer.data(),
-                                       reply_len));
-        if (!s.ok()) {
-          HAECHI_LOG_WARN("kvserver: reply send failed: %s",
-                          s.ToString().c_str());
-        }
-      });
+  endpoint.queued.push_back(QueuedRpc{request, std::move(put_payload)});
+  node_.cpu().Submit(endpoint.qp->id(), service,
+                     [this, &endpoint] { ServeRpc(endpoint); });
+}
+
+void KvServer::ServeRpc(RpcEndpoint& endpoint) {
+  HAECHI_ASSERT(!endpoint.queued.empty());
+  const QueuedRpc queued = std::move(endpoint.queued.front());
+  endpoint.queued.pop_front();
+  const RpcRequest& request = queued.request;
+  ++rpcs_served_;
+  RpcReply reply{};
+  reply.key = request.key;
+  std::size_t reply_len = sizeof(RpcReply);
+  switch (request.op) {
+    case RpcOp::kGet: {
+      if (request.key >= config_.record_count) {
+        reply.status = RpcStatus::kNotFound;
+        break;
+      }
+      reply.status = RpcStatus::kOk;
+      reply.payload_bytes = config_.payload_bytes;
+      const std::byte* record = RecordPtr(request.key) + kVersionBytes;
+      std::memcpy(endpoint.reply_buffer.data() + sizeof(RpcReply), record,
+                  config_.payload_bytes);
+      reply_len += config_.payload_bytes;
+      break;
+    }
+    case RpcOp::kPut: {
+      const Status s = Put(request.key, queued.put_payload);
+      reply.status = s.ok() ? RpcStatus::kOk
+                            : (s.code() == StatusCode::kNotFound
+                                   ? RpcStatus::kNotFound
+                                   : RpcStatus::kBadRequest);
+      break;
+    }
+    default:
+      reply.status = RpcStatus::kBadRequest;
+  }
+  std::memcpy(endpoint.reply_buffer.data(), &reply, sizeof(reply));
+  const Status s = endpoint.qp->PostSend(
+      /*wr_id=*/0,
+      std::span<const std::byte>(endpoint.reply_buffer.data(), reply_len));
+  if (!s.ok()) {
+    HAECHI_LOG_WARN("kvserver: reply send failed: %s", s.ToString().c_str());
+  }
 }
 
 }  // namespace haechi::kvstore

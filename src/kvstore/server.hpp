@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -63,16 +64,26 @@ class KvServer {
   [[nodiscard]] std::uint64_t RpcsServed() const { return rpcs_served_; }
 
  private:
+  struct QueuedRpc {
+    RpcRequest request;
+    std::vector<std::byte> put_payload;
+  };
   struct RpcEndpoint {
     rdma::QueuePair* qp;
     std::vector<std::vector<std::byte>> recv_buffers;
     std::vector<std::byte> reply_buffer;
+    // Requests waiting for the CPU, in arrival order: the CPU serves one
+    // endpoint's requests FIFO, so each service completion takes the front.
+    std::deque<QueuedRpc> queued;
   };
 
   [[nodiscard]] std::byte* RecordPtr(std::uint64_t key);
   [[nodiscard]] const std::byte* RecordPtr(std::uint64_t key) const;
 
   void HandleRpc(RpcEndpoint& endpoint, const rdma::WorkCompletion& wc);
+  /// CPU service for the endpoint's oldest queued request is done: apply
+  /// it and send the reply.
+  void ServeRpc(RpcEndpoint& endpoint);
 
   rdma::Node& node_;
   Config config_;

@@ -38,14 +38,18 @@ void SerialStation::StartNext() {
   const SimDuration service =
       detail::ApplyJitter(item.service, jitter_, rng_);
   busy_time_ += service;
-  sim_.ScheduleAfter(service, [this, done = std::move(item.done)]() mutable {
-    busy_ = false;
-    ++served_;
-    // Start the next item before running the callback: if the callback
-    // submits new work it should queue behind already-waiting items.
-    StartNext();
-    done();
-  });
+  in_service_ = std::move(item.done);
+  sim_.ScheduleAfter(service, [this] { Finish(); });
+}
+
+void SerialStation::Finish() {
+  busy_ = false;
+  ++served_;
+  ServiceDoneFn done = std::move(in_service_);
+  // Start the next item before running the callback: if the callback
+  // submits new work it should queue behind already-waiting items.
+  StartNext();
+  done();
 }
 
 FairShareStation::FairShareStation(sim::Simulator& sim, std::string name,
@@ -115,12 +119,16 @@ void FairShareStation::StartNext() {
   const SimDuration service =
       detail::ApplyJitter(item.service, jitter_, rng_);
   busy_time_ += service;
-  sim_.ScheduleAfter(service, [this, done = std::move(item.done)]() mutable {
-    busy_ = false;
-    ++served_;
-    StartNext();
-    done();
-  });
+  in_service_ = std::move(item.done);
+  sim_.ScheduleAfter(service, [this] { Finish(); });
+}
+
+void FairShareStation::Finish() {
+  busy_ = false;
+  ++served_;
+  ServiceDoneFn done = std::move(in_service_);
+  StartNext();
+  done();
 }
 
 }  // namespace haechi::net

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,7 @@ namespace haechi::net {
 using FlowId = std::uint32_t;
 
 /// Invoked when the station finishes serving an item.
-using ServiceDoneFn = std::function<void()>;
+using ServiceDoneFn = sim::Callback;
 
 namespace detail {
 
@@ -71,12 +70,14 @@ class SerialStation {
   };
 
   void StartNext();
+  void Finish();
 
   sim::Simulator& sim_;
   std::string name_;
   double jitter_;
   Rng rng_;
   std::deque<Item> queue_;
+  ServiceDoneFn in_service_;  // callback of the item being served
   bool busy_ = false;
   std::uint64_t served_ = 0;
   SimDuration busy_time_ = 0;
@@ -134,6 +135,7 @@ class FairShareStation {
   };
 
   void StartNext();
+  void Finish();
   /// Index of the next non-empty flow, or flows_.size() if none.
   [[nodiscard]] std::size_t FindNextActive() const;
 
@@ -148,6 +150,7 @@ class FairShareStation {
   std::vector<std::size_t> fifo_depths_; // kFifo: per-flow depth accounting
   std::size_t cursor_ = 0;               // round-robin position (flow index)
   std::size_t queued_ = 0;
+  ServiceDoneFn in_service_;  // callback of the item being served
   bool busy_ = false;
   std::uint64_t served_ = 0;
   SimDuration busy_time_ = 0;

@@ -94,111 +94,129 @@ SimDuration Fabric::ResponderService(const OpState& op) const {
   HAECHI_UNREACHABLE("RECV is never serviced through the fabric");
 }
 
-void Fabric::Initiate(std::shared_ptr<OpState> op) {
-  HAECHI_ASSERT(op->src != nullptr && op->dst != nullptr);
-  Node& src_node = op->src->node();
-  const SimDuration service = InitiatorService(*op);
-  const net::FlowId flow = op->src->id();
-  src_node.out_nic().Submit(flow, service, [this, op = std::move(op)]() mutable {
-    Node& src = op->src->node();
-    if (src.crashed_) {
-      // The process died while the WR sat in the send queue.
-      AbandonOp(*op);
-      return;
-    }
-    HAECHI_TRACE_DETAIL(obs::ActorKind::kFabric, Raw(src.id()),
-                        obs::EventType::kRdmaIssue, 0,
-                        static_cast<std::int64_t>(op->opcode),
-                        static_cast<std::int64_t>(op->wr_id),
-                        static_cast<std::int64_t>(op->len));
-    FaultInjector::Decision decision;
-    if (injector_ != nullptr) {
-      decision = injector_->Decide(src.id(), op->dst->node().id(), op->opcode,
-                                   op->src->id(), sim_.Now());
-    }
-    if (decision.drop) {
-      // The request packet is lost; RC retransmits blindly until the
-      // transport gives up and reports a retry-exceeded completion. The
-      // responder never sees the op.
-      ++fault_stats_.ops_dropped;
-      HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
-                         obs::EventType::kOpDropped, 0,
-                         static_cast<std::int64_t>(op->opcode),
-                         static_cast<std::int64_t>(op->wr_id));
-      sim_.ScheduleAfter(params_.retry_timeout,
-                         [this, op = std::move(op)]() mutable {
-                           FinishCompletion(std::move(op),
-                                            WcStatus::kRetryExceeded);
-                         });
-      return;
-    }
-    const SimDuration latency = params_.link_latency + decision.extra_delay;
-    if (decision.extra_delay > 0) {
-      ++fault_stats_.ops_delayed;
-      HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
-                         obs::EventType::kOpDelayed, 0,
-                         static_cast<std::int64_t>(op->opcode),
-                         static_cast<std::int64_t>(op->wr_id),
-                         decision.extra_delay);
-    }
-    if (src.paused_) {
-      // Outbound side of the partition: the op cannot leave the node (nor
-      // can a duplicate of it); it resumes its journey when the partition
-      // heals.
-      DeferOnNode(src.id(), {std::move(op), DeferredOp::Stage::kArrive,
-                             /*duplicate=*/false, WcStatus::kSuccess});
-      return;
-    }
-    if (decision.duplicate) {
-      // The wire delivers the request twice; the copy trails the original
-      // by a packet slot so per-QP arrival order stays deterministic.
-      ++fault_stats_.ops_duplicated;
-      HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
-                         obs::EventType::kOpDuplicated, 0,
-                         static_cast<std::int64_t>(op->opcode),
-                         static_cast<std::int64_t>(op->wr_id));
-      sim_.ScheduleAfter(latency + params_.min_op_service, [this, op] {
-        ArriveAtResponder(op, /*duplicate=*/true);
-      });
-    }
-    sim_.ScheduleAfter(latency, [this, op = std::move(op)]() mutable {
-      ArriveAtResponder(std::move(op));
-    });
-  });
+Fabric::OpState* Fabric::AcquireOp() {
+  OpState* op;
+  if (free_ops_.empty()) {
+    op = op_pool_.emplace_back(std::make_unique<OpState>()).get();
+  } else {
+    op = free_ops_.back();
+    free_ops_.pop_back();
+    // Reset every field but keep the staging buffer's capacity.
+    std::vector<std::byte> staging = std::move(op->staging);
+    *op = OpState{};
+    op->staging = std::move(staging);
+  }
+  op->refs = 1;
+  return op;
 }
 
-void Fabric::ArriveAtResponder(std::shared_ptr<OpState> op, bool duplicate) {
+void Fabric::ReleaseOp(OpState* op) {
+  HAECHI_ASSERT(op->refs > 0);
+  if (--op->refs > 0) return;
+  op->staging.clear();
+  free_ops_.push_back(op);
+}
+
+void Fabric::Initiate(OpState* op) {
+  HAECHI_ASSERT(op->src != nullptr && op->dst != nullptr);
+  const SimDuration service = InitiatorService(*op);
+  op->src->node().out_nic().Submit(op->src->id(), service,
+                                   [this, op] { Transmit(op); });
+}
+
+void Fabric::Transmit(OpState* op) {
+  Node& src = op->src->node();
+  if (src.crashed_) {
+    // The process died while the WR sat in the send queue.
+    AbandonOp(op);
+    return;
+  }
+  HAECHI_TRACE_DETAIL(obs::ActorKind::kFabric, Raw(src.id()),
+                      obs::EventType::kRdmaIssue, 0,
+                      static_cast<std::int64_t>(op->opcode),
+                      static_cast<std::int64_t>(op->wr_id),
+                      static_cast<std::int64_t>(op->len));
+  FaultInjector::Decision decision;
+  if (injector_ != nullptr) {
+    decision = injector_->Decide(src.id(), op->dst->node().id(), op->opcode,
+                                 op->src->id(), sim_.Now());
+  }
+  if (decision.drop) {
+    // The request packet is lost; RC retransmits blindly until the
+    // transport gives up and reports a retry-exceeded completion. The
+    // responder never sees the op.
+    ++fault_stats_.ops_dropped;
+    HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
+                       obs::EventType::kOpDropped, 0,
+                       static_cast<std::int64_t>(op->opcode),
+                       static_cast<std::int64_t>(op->wr_id));
+    CompleteAfter(op, params_.retry_timeout, WcStatus::kRetryExceeded);
+    return;
+  }
+  const SimDuration latency = params_.link_latency + decision.extra_delay;
+  if (decision.extra_delay > 0) {
+    ++fault_stats_.ops_delayed;
+    HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
+                       obs::EventType::kOpDelayed, 0,
+                       static_cast<std::int64_t>(op->opcode),
+                       static_cast<std::int64_t>(op->wr_id),
+                       decision.extra_delay);
+  }
+  if (src.paused_) {
+    // Outbound side of the partition: the op cannot leave the node (nor
+    // can a duplicate of it); it resumes its journey when the partition
+    // heals.
+    DeferOnNode(src.id(), {op, DeferredOp::Stage::kArrive,
+                           /*duplicate=*/false});
+    return;
+  }
+  if (decision.duplicate) {
+    // The wire delivers the request twice; the copy trails the original
+    // by a packet slot so per-QP arrival order stays deterministic. It
+    // holds its own reference to the record.
+    ++fault_stats_.ops_duplicated;
+    HAECHI_TRACE_EVENT(obs::ActorKind::kFabric, Raw(src.id()),
+                       obs::EventType::kOpDuplicated, 0,
+                       static_cast<std::int64_t>(op->opcode),
+                       static_cast<std::int64_t>(op->wr_id));
+    ++op->refs;
+    sim_.ScheduleAfter(latency + params_.min_op_service, [this, op] {
+      ArriveAtResponder(op, /*duplicate=*/true);
+    });
+  }
+  sim_.ScheduleAfter(latency, [this, op] { ArriveAtResponder(op); });
+}
+
+void Fabric::ArriveAtResponder(OpState* op, bool duplicate) {
   Node& dst_node = op->dst->node();
   if (dst_node.crashed_) {
     // A dead responder never ACKs: the initiator's RNIC retries until its
     // transport timer expires. The duplicate copy just evaporates.
-    if (duplicate) return;
+    if (duplicate) {
+      ReleaseOp(op);
+      return;
+    }
     ++fault_stats_.dead_target_naks;
-    sim_.ScheduleAfter(params_.retry_timeout,
-                       [this, op = std::move(op)]() mutable {
-                         FinishCompletion(std::move(op),
-                                          WcStatus::kRetryExceeded);
-                       });
+    CompleteAfter(op, params_.retry_timeout, WcStatus::kRetryExceeded);
     return;
   }
   if (dst_node.paused_) {
-    DeferOnNode(dst_node.id(), {std::move(op), DeferredOp::Stage::kArrive,
-                                duplicate, WcStatus::kSuccess});
+    DeferOnNode(dst_node.id(), {op, DeferredOp::Stage::kArrive, duplicate});
     return;
   }
   if (!duplicate) ++ops_delivered_;
-  if (op->dst->state() == QpState::kError) {
-    // The remote QP is dead (its node may have crashed and restarted): the
-    // responder NAKs and the initiator's retries can never succeed.
-    if (duplicate) return;
-    CompleteToInitiator(std::move(op), WcStatus::kRetryExceeded);
-    return;
-  }
-  const WcStatus verdict = ValidateRemote(*op);
+  // The remote QP is dead (its node may have crashed and restarted): the
+  // responder NAKs and the initiator's retries can never succeed. Otherwise
+  // validation failures take the NAK path, consuming no responder service.
+  const WcStatus verdict = op->dst->state() == QpState::kError
+                               ? WcStatus::kRetryExceeded
+                               : ValidateRemote(*op);
   if (verdict != WcStatus::kSuccess) {
-    // NAK path: no responder service time is consumed.
-    if (duplicate) return;
-    CompleteToInitiator(std::move(op), verdict);
+    if (duplicate) {
+      ReleaseOp(op);
+    } else {
+      CompleteToInitiator(op, verdict);
+    }
     return;
   }
   const SimDuration service = ResponderService(*op);
@@ -211,22 +229,28 @@ void Fabric::ArriveAtResponder(std::shared_ptr<OpState> op, bool duplicate) {
        op->len <= kAlwaysCopyBytes)
           ? net::Priority::kControl
           : net::Priority::kBulk;
-  dst_node.in_nic().Submit(flow, service,
-                           [this, op = std::move(op), duplicate]() mutable {
-    if (op->dst->node().crashed_) {
-      // The responder died while the op was queued at its NIC: no memory
-      // effect, no ACK — the initiator times out.
-      if (duplicate) return;
-      sim_.ScheduleAfter(params_.retry_timeout,
-                         [this, op = std::move(op)]() mutable {
-                           FinishCompletion(std::move(op),
-                                            WcStatus::kRetryExceeded);
-                         });
-      return;
+  dst_node.in_nic().Submit(
+      flow, service, [this, op, duplicate] { ServeAtResponder(op, duplicate); },
+      priority);
+}
+
+void Fabric::ServeAtResponder(OpState* op, bool duplicate) {
+  if (op->dst->node().crashed_) {
+    // The responder died while the op was queued at its NIC: no memory
+    // effect, no ACK — the initiator times out.
+    if (duplicate) {
+      ReleaseOp(op);
+    } else {
+      CompleteAfter(op, params_.retry_timeout, WcStatus::kRetryExceeded);
     }
-    ExecuteAtResponder(*op, duplicate);
-    if (!duplicate) CompleteToInitiator(std::move(op), WcStatus::kSuccess);
-  }, priority);
+    return;
+  }
+  ExecuteAtResponder(*op, duplicate);
+  if (duplicate) {
+    ReleaseOp(op);
+  } else {
+    CompleteToInitiator(op, WcStatus::kSuccess);
+  }
 }
 
 WcStatus Fabric::ValidateRemote(const OpState& op) const {
@@ -317,28 +341,26 @@ void Fabric::DeliverSend(OpState& op) {
   dst.recv_cq_.Push(wc);
 }
 
-void Fabric::CompleteToInitiator(std::shared_ptr<OpState> op,
-                                 WcStatus status) {
-  sim_.ScheduleAfter(params_.link_latency,
-                     [this, op = std::move(op), status]() mutable {
-                       FinishCompletion(std::move(op), status);
-                     });
+void Fabric::CompleteAfter(OpState* op, SimDuration delay, WcStatus status) {
+  op->status = status;
+  sim_.ScheduleAfter(delay, [this, op] { FinishCompletion(op); });
 }
 
-void Fabric::FinishCompletion(std::shared_ptr<OpState> op, WcStatus status) {
+void Fabric::FinishCompletion(OpState* op) {
   QueuePair& src = *op->src;
   Node& src_node = src.node();
   if (src_node.crashed_) {
     // Nobody is home to poll the CQ; the completion dies with the process.
     ++fault_stats_.dropped_completions;
-    AbandonOp(*op);
+    AbandonOp(op);
     return;
   }
   if (src_node.paused_) {
-    DeferOnNode(src_node.id(), {std::move(op), DeferredOp::Stage::kComplete,
-                                /*duplicate=*/false, status});
+    DeferOnNode(src_node.id(), {op, DeferredOp::Stage::kComplete,
+                                /*duplicate=*/false});
     return;
   }
+  WcStatus status = op->status;
   if (src.state_ == QpState::kError && status == WcStatus::kSuccess) {
     // The QP erred while the op was in flight: hardware flushes it. Remote
     // NAK statuses earned before the transition are reported as-is.
@@ -363,13 +385,17 @@ void Fabric::FinishCompletion(std::shared_ptr<OpState> op, WcStatus status) {
                       static_cast<std::int64_t>(wc.status));
   HAECHI_ASSERT(src.in_flight_ > 0);
   --src.in_flight_;
+  // Released before the CQE is delivered: the consumer may post again and
+  // reuse the record straight away.
+  ReleaseOp(op);
   src.send_cq_.Push(wc);
 }
 
-void Fabric::AbandonOp(const OpState& op) {
-  QueuePair& src = *op.src;
+void Fabric::AbandonOp(OpState* op) {
+  QueuePair& src = *op->src;
   HAECHI_ASSERT(src.in_flight_ > 0);
   --src.in_flight_;
+  ReleaseOp(op);
 }
 
 void Fabric::InstallFaultPlan(const FaultPlan& plan) {
@@ -420,19 +446,19 @@ void Fabric::CrashNode(NodeId node) {
   auto held = deferred_.extract(Raw(node));
   if (!held.empty()) {
     for (DeferredOp& deferred : held.mapped()) {
+      if (deferred.duplicate) {
+        ReleaseOp(deferred.op);
+        continue;
+      }
       const bool inbound = deferred.stage == DeferredOp::Stage::kArrive &&
                            &deferred.op->dst->node() == &n;
       if (inbound) {
-        if (deferred.duplicate) continue;
         ++fault_stats_.dead_target_naks;
-        sim_.ScheduleAfter(params_.retry_timeout,
-                           [this, op = std::move(deferred.op)]() mutable {
-                             FinishCompletion(std::move(op),
-                                              WcStatus::kRetryExceeded);
-                           });
+        CompleteAfter(deferred.op, params_.retry_timeout,
+                      WcStatus::kRetryExceeded);
       } else {
         ++fault_stats_.dropped_completions;
-        AbandonOp(*deferred.op);
+        AbandonOp(deferred.op);
       }
     }
   }
@@ -473,9 +499,9 @@ void Fabric::ResumeNode(NodeId node) {
   if (!held.empty()) {
     for (DeferredOp& deferred : held.mapped()) {
       if (deferred.stage == DeferredOp::Stage::kArrive) {
-        ArriveAtResponder(std::move(deferred.op), deferred.duplicate);
+        ArriveAtResponder(deferred.op, deferred.duplicate);
       } else {
-        FinishCompletion(std::move(deferred.op), deferred.status);
+        FinishCompletion(deferred.op);
       }
     }
   }
@@ -494,7 +520,7 @@ bool Fabric::IsPaused(NodeId node) const {
 
 void Fabric::DeferOnNode(NodeId node, DeferredOp deferred) {
   ++fault_stats_.deferred_ops;
-  deferred_[Raw(node)].push_back(std::move(deferred));
+  deferred_[Raw(node)].push_back(deferred);
 }
 
 }  // namespace haechi::rdma

@@ -130,6 +130,12 @@ class Fabric {
   /// Total ops that reached a responder (served + rejected), for tests.
   [[nodiscard]] std::uint64_t OpsDelivered() const { return ops_delivered_; }
 
+  /// Op records acquired and not yet released: 0 once every posted op has
+  /// completed, been abandoned, or timed out (and any duplicate drained).
+  [[nodiscard]] std::size_t LiveOps() const {
+    return op_pool_.size() - free_ops_.size();
+  }
+
   // --- fault injection ----------------------------------------------------
 
   /// Installs a fault plan: transport rules take effect immediately and the
@@ -182,11 +188,15 @@ class Fabric {
   friend class QueuePair;
   friend class Node;
 
+  /// One in-flight work request. Records are pooled: a record returns to
+  /// the free list (keeping its staging capacity) when its last reference
+  /// is released, so steady-state traffic allocates nothing. `refs` is 1,
+  /// or 2 while a duplicated request is in flight.
   struct OpState {
-    Opcode opcode;
-    std::uint64_t wr_id;
-    QueuePair* src;
-    QueuePair* dst;
+    Opcode opcode = Opcode::kRead;
+    std::uint64_t wr_id = 0;
+    QueuePair* src = nullptr;
+    QueuePair* dst = nullptr;
     std::byte* local = nullptr;       // READ destination
     std::uint32_t len = 0;
     RemoteAddr remote = 0;
@@ -196,19 +206,33 @@ class Fabric {
     std::uint64_t atomic_desired = 0;   // CMP_SWAP
     std::uint64_t atomic_result = 0;
     ServiceClass service_class = ServiceClass::kAuto;
+    WcStatus status = WcStatus::kSuccess;  // completion status once known
+    std::uint32_t refs = 0;
     std::vector<std::byte> staging;   // WRITE/SEND payload or READ snapshot
   };
 
+  /// Takes a reset record (refs == 1) from the pool.
+  OpState* AcquireOp();
+
+  /// Drops one reference; the last one returns the record to the pool.
+  void ReleaseOp(OpState* op);
+
   /// Entry point from QueuePair::Post*: charge the initiator's out-NIC,
-  /// then propagate. (Ops move through the pipeline as shared_ptr because
-  /// std::function requires copyable captures.)
-  void Initiate(std::shared_ptr<OpState> op);
+  /// then propagate.
+  void Initiate(OpState* op);
+
+  /// The op leaves the initiator's out-NIC: apply transport faults and put
+  /// it on the wire.
+  void Transmit(OpState* op);
 
   /// Op arrives at the responder after the link delay. `duplicate` marks
   /// the second delivery of a duplicated request: it consumes responder
   /// service (and re-applies idempotent WRITE DMA) but never generates a
   /// completion — the transport deduplicates by PSN.
-  void ArriveAtResponder(std::shared_ptr<OpState> op, bool duplicate = false);
+  void ArriveAtResponder(OpState* op, bool duplicate = false);
+
+  /// Responder NIC service complete: perform memory effects and ACK.
+  void ServeAtResponder(OpState* op, bool duplicate);
 
   /// Validation at the responder NIC; kSuccess means "proceed to service".
   [[nodiscard]] WcStatus ValidateRemote(const OpState& op) const;
@@ -216,16 +240,21 @@ class Fabric {
   /// Responder service complete: perform memory effects.
   void ExecuteAtResponder(OpState& op, bool duplicate = false);
 
+  /// Completes the op with `status` at the initiator after `delay`.
+  void CompleteAfter(OpState* op, SimDuration delay, WcStatus status);
+
   /// Sends the completion back to the initiator (after link delay).
-  void CompleteToInitiator(std::shared_ptr<OpState> op, WcStatus status);
+  void CompleteToInitiator(OpState* op, WcStatus status) {
+    CompleteAfter(op, params_.link_latency, status);
+  }
 
   /// Delivers (or defers / drops) the completion at the initiator, applying
   /// crash / pause / QP-flush semantics at the delivery instant.
-  void FinishCompletion(std::shared_ptr<OpState> op, WcStatus status);
+  void FinishCompletion(OpState* op);
 
   /// The initiating process died before this op completed: release its
   /// in-flight slot without generating a CQE.
-  void AbandonOp(const OpState& op);
+  void AbandonOp(OpState* op);
 
   void ApplyNodeEvent(const NodeEvent& event);
   [[nodiscard]] QueuePair* FindQp(QpId id);
@@ -240,10 +269,9 @@ class Fabric {
 
   /// An op held by a paused node, replayed in order on resume.
   struct DeferredOp {
-    std::shared_ptr<OpState> op;
+    OpState* op;
     enum class Stage : std::uint8_t { kArrive, kComplete } stage;
     bool duplicate = false;
-    WcStatus status = WcStatus::kSuccess;
   };
 
   Node& NodeRef(NodeId id) { return nodes_.at(Raw(id)); }
@@ -256,6 +284,9 @@ class Fabric {
   QpId next_qp_id_ = 0;
   bool copy_payloads_ = true;
   std::uint64_t ops_delivered_ = 0;
+
+  std::vector<std::unique_ptr<OpState>> op_pool_;  // every record, owning
+  std::vector<OpState*> free_ops_;
 
   std::unique_ptr<FaultInjector> injector_;
   NodeFaultHook fault_hook_;

@@ -1,7 +1,5 @@
 #include "rdma/qp.hpp"
 
-#include <memory>
-
 #include "common/assert.hpp"
 #include "rdma/fabric.hpp"
 
@@ -43,7 +41,7 @@ Status QueuePair::PostRead(std::uint64_t wr_id, std::span<std::byte> local,
   if (mr == nullptr || !mr->Allows(access::kLocalWrite)) {
     return ErrPermissionDenied("READ destination not in a writable local MR");
   }
-  auto op = std::make_unique<Fabric::OpState>();
+  Fabric::OpState* op = fabric_.AcquireOp();
   op->opcode = Opcode::kRead;
   op->wr_id = wr_id;
   op->src = this;
@@ -53,7 +51,7 @@ Status QueuePair::PostRead(std::uint64_t wr_id, std::span<std::byte> local,
   op->remote = remote_addr;
   op->rkey = rkey;
   ++in_flight_;
-  fabric_.Initiate(std::move(op));
+  fabric_.Initiate(op);
   return Status::Ok();
 }
 
@@ -66,7 +64,7 @@ Status QueuePair::PostWrite(std::uint64_t wr_id,
   if (mr == nullptr || !mr->Allows(access::kLocalRead)) {
     return ErrPermissionDenied("WRITE source not in a readable local MR");
   }
-  auto op = std::make_unique<Fabric::OpState>();
+  Fabric::OpState* op = fabric_.AcquireOp();
   op->opcode = Opcode::kWrite;
   op->wr_id = wr_id;
   op->src = this;
@@ -81,14 +79,14 @@ Status QueuePair::PostWrite(std::uint64_t wr_id,
     op->staging.assign(local.begin(), local.end());
   }
   ++in_flight_;
-  fabric_.Initiate(std::move(op));
+  fabric_.Initiate(op);
   return Status::Ok();
 }
 
 Status QueuePair::PostFetchAdd(std::uint64_t wr_id, RemoteAddr remote_addr,
                                std::uint32_t rkey, std::int64_t delta) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
-  auto op = std::make_unique<Fabric::OpState>();
+  Fabric::OpState* op = fabric_.AcquireOp();
   op->opcode = Opcode::kFetchAdd;
   op->wr_id = wr_id;
   op->src = this;
@@ -98,7 +96,7 @@ Status QueuePair::PostFetchAdd(std::uint64_t wr_id, RemoteAddr remote_addr,
   op->rkey = rkey;
   op->atomic_delta = delta;
   ++in_flight_;
-  fabric_.Initiate(std::move(op));
+  fabric_.Initiate(op);
   return Status::Ok();
 }
 
@@ -106,7 +104,7 @@ Status QueuePair::PostCompareSwap(std::uint64_t wr_id, RemoteAddr remote_addr,
                                   std::uint32_t rkey, std::uint64_t expected,
                                   std::uint64_t desired) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
-  auto op = std::make_unique<Fabric::OpState>();
+  Fabric::OpState* op = fabric_.AcquireOp();
   op->opcode = Opcode::kCompareSwap;
   op->wr_id = wr_id;
   op->src = this;
@@ -117,7 +115,7 @@ Status QueuePair::PostCompareSwap(std::uint64_t wr_id, RemoteAddr remote_addr,
   op->atomic_expected = expected;
   op->atomic_desired = desired;
   ++in_flight_;
-  fabric_.Initiate(std::move(op));
+  fabric_.Initiate(op);
   return Status::Ok();
 }
 
@@ -126,7 +124,7 @@ Status QueuePair::PostSend(std::uint64_t wr_id,
                            ServiceClass service_class) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
   if (payload.empty()) return ErrInvalidArgument("zero-length SEND");
-  auto op = std::make_unique<Fabric::OpState>();
+  Fabric::OpState* op = fabric_.AcquireOp();
   op->opcode = Opcode::kSend;
   op->wr_id = wr_id;
   op->src = this;
@@ -137,7 +135,7 @@ Status QueuePair::PostSend(std::uint64_t wr_id,
   // the receive path must hand real bytes to the application.
   op->staging.assign(payload.begin(), payload.end());
   ++in_flight_;
-  fabric_.Initiate(std::move(op));
+  fabric_.Initiate(op);
   return Status::Ok();
 }
 

@@ -8,41 +8,59 @@ namespace haechi::sim {
 
 EventId BinaryHeapEventQueue::Schedule(SimTime time, EventFn fn) {
   HAECHI_EXPECTS(fn != nullptr);
-  const EventId id = next_id_++;
-  heap_.push_back(Entry{time, id, std::move(fn)});
+  std::size_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = slots_.size();
+    HAECHI_ASSERT(slot <= kSlotMask);
+    slots_.emplace_back();
+  }
+  HAECHI_ASSERT(next_seq_ < (EventId{1} << (64 - kSlotBits)));
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Key{time, id});
   SiftUp(heap_.size() - 1);
-  done_.push_back(false);
   ++live_;
   return id;
 }
 
 bool BinaryHeapEventQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId || id >= next_id_ || IsDone(id)) return false;
-  MarkDone(id);
+  if (id == kInvalidEventId || !Pending(id)) return false;
+  FreeSlot(SlotOf(id));
   HAECHI_ASSERT(live_ > 0);
   --live_;
   return true;
 }
 
+void BinaryHeapEventQueue::FreeSlot(std::size_t slot) {
+  slots_[slot].id = kInvalidEventId;
+  slots_[slot].fn = nullptr;
+  free_slots_.push_back(static_cast<std::uint32_t>(slot));
+}
+
+void BinaryHeapEventQueue::PopTop() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0);
+}
+
 void BinaryHeapEventQueue::DropCancelledTop() {
-  // Entries are removed from the heap lazily, so a heap entry whose id is
-  // marked done but which is still physically present is a cancelled entry.
-  while (!heap_.empty() && IsDone(heap_.front().id)) {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
-  }
+  // A key whose slot no longer carries its id belongs to a cancelled event
+  // (the slot was freed, and possibly reused, at Cancel time).
+  while (!heap_.empty() && !Pending(heap_.front().id)) PopTop();
 }
 
 Event BinaryHeapEventQueue::PopNext() {
   DropCancelledTop();
   if (heap_.empty()) return {};
-  Event out{heap_.front().time, heap_.front().id,
-            std::move(heap_.front().fn)};
-  MarkDone(out.id);
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
+  const Key top = heap_.front();
+  PopTop();
+  const std::size_t slot = SlotOf(top.id);
+  Event out{top.time, top.id, std::move(slots_[slot].fn)};
+  FreeSlot(slot);
   HAECHI_ASSERT(live_ > 0);
   --live_;
   return out;
@@ -54,28 +72,30 @@ SimTime BinaryHeapEventQueue::PeekTime() {
 }
 
 void BinaryHeapEventQueue::SiftUp(std::size_t i) {
+  const Key moving = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!EarlierThan(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!EarlierThan(moving, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = moving;
 }
 
 void BinaryHeapEventQueue::SiftDown(std::size_t i) {
   const std::size_t n = heap_.size();
+  const Key moving = heap_[i];
   while (true) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && EarlierThan(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && EarlierThan(heap_[right], heap_[smallest])) {
-      smallest = right;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && EarlierThan(heap_[child + 1], heap_[child])) {
+      ++child;
     }
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    if (!EarlierThan(heap_[child], moving)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
+  heap_[i] = moving;
 }
 
 }  // namespace haechi::sim

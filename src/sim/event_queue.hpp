@@ -1,19 +1,17 @@
-// Priority queues of timestamped events.
+// The simulator's priority queue of timestamped events.
 //
-// Two interchangeable implementations are provided:
-//  * BinaryHeapEventQueue — vector-based binary heap, the default;
-//  * HierarchicalTimingWheel (timing_wheel.hpp) — O(1) amortised insert/pop
-//    for the dense short-horizon timers this simulator generates.
-// Both deliver events in (time, insertion-sequence) order so simulation
-// results are identical regardless of the queue chosen.
+// Events are delivered in (time, insertion-sequence) order, so a run is a
+// pure function of its inputs. The heap holds only small {time, id} keys;
+// callbacks live in a slab of slots and never move while the heap sifts.
+// An EventId packs the insertion sequence number above the slot index, so
+// id order is sequence order and the slot is recovered without a lookup.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/callback.hpp"
 
 namespace haechi::sim {
 
@@ -24,77 +22,78 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 /// Callback invoked when an event fires. Fires at most once.
-using EventFn = std::function<void()>;
+using EventFn = Callback;
 
 struct Event {
   SimTime time = 0;
-  EventId id = kInvalidEventId;  // doubles as the insertion sequence number
+  EventId id = kInvalidEventId;
   EventFn fn;
 };
 
-/// Interface shared by the queue implementations. Not thread-safe: the
+/// Binary-heap event queue ordered by (time, id). Not thread-safe: the
 /// simulation is single-threaded by design (see DESIGN.md §1).
-class EventQueue {
+///
+/// Cancellation is lazy: Cancel frees the slot at once and the heap key is
+/// dropped when it reaches the top (its id no longer matches its slot's).
+/// Bookkeeping is per slot, so memory is O(pending events) however many
+/// events a run schedules.
+class BinaryHeapEventQueue {
  public:
-  virtual ~EventQueue() = default;
-
   /// Enqueues `fn` to fire at absolute time `time`.
-  virtual EventId Schedule(SimTime time, EventFn fn) = 0;
+  EventId Schedule(SimTime time, EventFn fn);
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed.
-  virtual bool Cancel(EventId id) = 0;
+  bool Cancel(EventId id);
 
-  /// Removes and returns the earliest pending event, skipping cancelled
-  /// entries. Returns an Event with id == kInvalidEventId when empty.
-  virtual Event PopNext() = 0;
+  /// Removes and returns the earliest pending event. Returns an Event with
+  /// id == kInvalidEventId when empty. The callback is moved out of its
+  /// slot before the caller runs it, so it may schedule further events.
+  Event PopNext();
 
   /// Earliest pending time, or kSimTimeMax when empty.
-  [[nodiscard]] virtual SimTime PeekTime() = 0;
+  [[nodiscard]] SimTime PeekTime();
 
-  [[nodiscard]] virtual bool Empty() const = 0;
+  [[nodiscard]] bool Empty() const { return live_ == 0; }
 
   /// Number of live (non-cancelled, non-fired) events.
-  [[nodiscard]] virtual std::size_t Size() const = 0;
-};
-
-/// Binary-heap event queue ordered by (time, id). Cancellation is lazy:
-/// cancelled entries are dropped when they reach the top, keeping Cancel
-/// O(1). A one-bit-per-event table gives Cancel exact semantics (it can tell
-/// fired ids from pending ones without scanning the heap).
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  EventId Schedule(SimTime time, EventFn fn) override;
-  bool Cancel(EventId id) override;
-  Event PopNext() override;
-  [[nodiscard]] SimTime PeekTime() override;
-  [[nodiscard]] bool Empty() const override { return live_ == 0; }
-  [[nodiscard]] std::size_t Size() const override { return live_; }
+  [[nodiscard]] std::size_t Size() const { return live_; }
 
  private:
-  // Hand-rolled heap (rather than std::priority_queue) so the callback can
-  // be moved out of the popped element instead of copied from a const top().
-  struct Entry {
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  struct Key {
     SimTime time;
     EventId id;
+  };
+  struct Slot {
+    EventId id = kInvalidEventId;  // kInvalidEventId: free
     EventFn fn;
   };
-  static bool EarlierThan(const Entry& a, const Entry& b) {
+
+  static bool EarlierThan(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;
   }
+  static std::size_t SlotOf(EventId id) {
+    return static_cast<std::size_t>(id & kSlotMask);
+  }
+  [[nodiscard]] bool Pending(EventId id) const {
+    const std::size_t slot = SlotOf(id);
+    return slot < slots_.size() && slots_[slot].id == id;
+  }
 
+  void FreeSlot(std::size_t slot);
+  void PopTop();
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
   void DropCancelledTop();
-  [[nodiscard]] bool IsDone(EventId id) const {
-    return done_[static_cast<std::size_t>(id - 1)];
-  }
-  void MarkDone(EventId id) { done_[static_cast<std::size_t>(id - 1)] = true; }
 
-  std::vector<Entry> heap_;
-  std::vector<bool> done_;  // indexed by id-1: fired or cancelled
-  EventId next_id_ = 1;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
 };
 

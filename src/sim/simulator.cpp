@@ -1,24 +1,11 @@
 #include "sim/simulator.hpp"
 
-#include "sim/timing_wheel.hpp"
-
 namespace haechi::sim {
-
-Simulator::Simulator(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kBinaryHeap:
-      queue_ = std::make_unique<BinaryHeapEventQueue>();
-      break;
-    case QueueKind::kTimingWheel:
-      queue_ = std::make_unique<HierarchicalTimingWheel>();
-      break;
-  }
-}
 
 std::uint64_t Simulator::RunUntil(SimTime deadline) {
   std::uint64_t ran = 0;
-  while (queue_->PeekTime() <= deadline) {
-    Event event = queue_->PopNext();
+  while (queue_.PeekTime() <= deadline) {
+    Event event = queue_.PopNext();
     if (event.id == kInvalidEventId) break;
     HAECHI_ASSERT(event.time >= now_);
     now_ = event.time;
@@ -35,7 +22,7 @@ std::uint64_t Simulator::RunUntil(SimTime deadline) {
 }
 
 bool Simulator::Step() {
-  Event event = queue_->PopNext();
+  Event event = queue_.PopNext();
   if (event.id == kInvalidEventId) return false;
   HAECHI_ASSERT(event.time >= now_);
   now_ = event.time;

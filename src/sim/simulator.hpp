@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -16,29 +15,25 @@
 
 namespace haechi::sim {
 
-enum class QueueKind { kBinaryHeap, kTimingWheel };
-
 class Simulator {
  public:
-  explicit Simulator(QueueKind kind = QueueKind::kBinaryHeap);
-
   /// Current virtual time. Starts at 0.
   [[nodiscard]] SimTime Now() const { return now_; }
 
   /// Schedules `fn` at absolute virtual time `time`; times in the past fire
   /// as soon as control returns to the event loop.
   EventId ScheduleAt(SimTime time, EventFn fn) {
-    return queue_->Schedule(time < now_ ? now_ : time, std::move(fn));
+    return queue_.Schedule(time < now_ ? now_ : time, std::move(fn));
   }
 
   /// Schedules `fn` after a relative delay (>= 0).
   EventId ScheduleAfter(SimDuration delay, EventFn fn) {
     HAECHI_EXPECTS(delay >= 0);
-    return queue_->Schedule(now_ + delay, std::move(fn));
+    return queue_.Schedule(now_ + delay, std::move(fn));
   }
 
   /// Cancels a pending event; false if it already fired or was cancelled.
-  bool Cancel(EventId id) { return queue_->Cancel(id); }
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   /// Runs events until the queue empties. Returns the number of events run.
   std::uint64_t Run() { return RunUntil(kSimTimeMax); }
@@ -51,8 +46,8 @@ class Simulator {
   /// Executes exactly one event if available. Returns false when drained.
   bool Step();
 
-  [[nodiscard]] bool Idle() const { return queue_->Empty(); }
-  [[nodiscard]] std::size_t PendingEvents() const { return queue_->Size(); }
+  [[nodiscard]] bool Idle() const { return queue_.Empty(); }
+  [[nodiscard]] std::size_t PendingEvents() const { return queue_.Size(); }
   [[nodiscard]] std::uint64_t EventsRun() const { return events_run_; }
 
   /// Installs a coarse progress callback: `fn(Now(), EventsRun())` after
@@ -67,7 +62,7 @@ class Simulator {
   }
 
  private:
-  std::unique_ptr<EventQueue> queue_;
+  BinaryHeapEventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t events_run_ = 0;
   std::uint64_t progress_every_ = 0;

@@ -120,8 +120,7 @@ void DemandGenerator::SubmitOne() {
                         write_rng_.NextDouble() < config_.write_fraction;
   if (is_write) ++writes_submitted_;
   const SimTime submitted_at = sim_.Now();
-  submit_(chooser_.Next(), is_write,
-          [this, submitted_at] { OnComplete(submitted_at); });
+  submit_(chooser_.Next(), is_write, CompleteFn(this, submitted_at));
 }
 
 void DemandGenerator::OnComplete(SimTime submitted_at) {

@@ -79,7 +79,20 @@ class DemandGenerator {
     double write_fraction = 0.0;
   };
 
-  using CompleteFn = std::function<void()>;
+  /// Completion handle for one submitted request: two words naming the
+  /// generator and the submit instant, so a backend can carry it inside
+  /// its own inline callback (or copy it to run on a rejected submit).
+  class CompleteFn {
+   public:
+    void operator()() const { generator_->OnComplete(submitted_at_); }
+
+   private:
+    friend class DemandGenerator;
+    CompleteFn(DemandGenerator* generator, SimTime submitted_at)
+        : generator_(generator), submitted_at_(submitted_at) {}
+    DemandGenerator* generator_;
+    SimTime submitted_at_;
+  };
   /// Issues one I/O for `key`; must invoke the callback exactly once at the
   /// simulated completion instant.
   using SubmitFn =

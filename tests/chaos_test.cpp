@@ -86,6 +86,19 @@ rdma::FaultPlan RandomFaults(std::uint64_t seed) {
   return plan;
 }
 
+/// Quiesces everything that posts verbs (the monitor and every engine),
+/// lets in-flight ops drain, and returns the fabric's live op records. Any
+/// non-zero count is a record leaked by some fault path.
+std::size_t LiveOpsAfterDrain(Experiment& experiment) {
+  experiment.monitor()->Stop();
+  for (std::size_t i = 0; i < experiment.config().clients.size(); ++i) {
+    experiment.engine(i).Stop();
+  }
+  sim::Simulator& sim = experiment.simulator();
+  sim.RunUntil(sim.Now() + Millis(100));
+  return experiment.fabric().LiveOps();
+}
+
 // ---------------------------------------------------------------------------
 // Soak across 8 seeds: transport chaos plus one client crash/restart per
 // run. No crash, no stall (the run finishes), survivors hold their
@@ -133,6 +146,9 @@ TEST_P(ChaosSoak, SurvivesRandomizedFaultPlan) {
               result.reservations[c] * 90 / 100)
         << "seed " << seed << " surviving client " << c;
   }
+
+  // Drops, duplicates, delays and the crash released every op record.
+  EXPECT_EQ(LiveOpsAfterDrain(experiment), 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak,

@@ -52,10 +52,10 @@ class EngineTest : public ::testing::Test {
     engine_ = std::make_unique<ClientQosEngine>(
         sim_, MakeClientId(0), config_, client_, qos_qp_, ctrl_qp_, wiring);
     engine_->SetIoBackend(
-        [this](std::uint64_t, bool, ClientQosEngine::CompleteFn done) {
+        [this](std::uint64_t, bool, ClientQosEngine::IoDone done) {
           // An instant backend: completes one simulated microsecond later.
           ++backend_calls_;
-          sim_.ScheduleAfter(Micros(1), [done = std::move(done)] { done(); });
+          sim_.ScheduleAfter(Micros(1), [done] { done(); });
           return Status::Ok();
         });
   }
@@ -178,7 +178,7 @@ TEST_F(EngineTest, QueueBoundRejects) {
   ClientQosEngine engine(sim_, MakeClientId(2), tiny, client_, qp_a, ctrl_a,
                          QosWiring{});
   engine.SetIoBackend(
-      [](std::uint64_t, bool, ClientQosEngine::CompleteFn) {
+      [](std::uint64_t, bool, ClientQosEngine::IoDone) {
         return Status::Ok();
       });
   EXPECT_TRUE(engine.Submit(0, [] {}).ok());
@@ -289,9 +289,9 @@ TEST_F(EngineTest, WritesFlowThroughTheSameTokenPath) {
   int writes_seen = 0;
   engine_->SetIoBackend(
       [this, &writes_seen](std::uint64_t, bool is_write,
-                           ClientQosEngine::CompleteFn done) {
+                           ClientQosEngine::IoDone done) {
         writes_seen += is_write;
-        sim_.ScheduleAfter(Micros(1), [done = std::move(done)] { done(); });
+        sim_.ScheduleAfter(Micros(1), [done] { done(); });
         return Status::Ok();
       });
   SendPeriodStart(1, /*tokens=*/10);

@@ -34,9 +34,22 @@ class FaultInjectionTest : public ::testing::Test {
                           access::kLocalRead | access::kLocalWrite);
   }
 
+  // Every scenario ends drained: each op record the fabric handed out —
+  // dropped, delayed, duplicated, timed out, flushed or replayed — must be
+  // back in its pool.
+  void TearDown() override {
+    sim_.Run();
+    EXPECT_EQ(fabric_.LiveOps(), 0u);
+  }
+
   std::vector<WorkCompletion> RunAndPoll(CompletionQueue& cq) {
     sim_.Run();
     return cq.Poll(64);
+  }
+
+  Status PostRead(std::uint64_t wr_id) {
+    return client_qp_.PostRead(wr_id, std::span<std::byte>(local_),
+                               remote_mr_->remote_addr(), remote_mr_->rkey());
   }
 
   sim::Simulator sim_;
@@ -320,6 +333,71 @@ TEST_F(FaultInjectionTest, PauseDefersAndResumeReplaysInOrder) {
   EXPECT_EQ(wcs[0].wr_id, 1u);  // replayed in arrival order
   EXPECT_EQ(wcs[1].wr_id, 2u);
   EXPECT_EQ(local_[0], std::byte{0x5A});
+}
+
+TEST_F(FaultInjectionTest, ResponderCrashWhileQueuedTimesOutQueuedOps) {
+  // A healed partition replays every held arrival at once, so the
+  // responder's in-NIC queue is deep when the node dies a moment later:
+  // the few ops already served complete, queued originals time out at the
+  // initiator, and queued duplicate copies just evaporate.
+  FaultPlan plan;
+  FaultRule rule;
+  rule.action = FaultAction::kDuplicate;
+  rule.opcode = Opcode::kRead;
+  rule.probability = 0.5;
+  plan.Add(rule);
+  fabric_.InstallFaultPlan(plan);
+
+  constexpr std::size_t kOps = 32;
+  fabric_.PauseNode(server_.id());
+  for (std::uint64_t i = 0; i < kOps; ++i) ASSERT_TRUE(PostRead(i).ok());
+  sim_.RunUntil(Millis(1));
+  ASSERT_GT(fabric_.fault_stats().ops_duplicated, 0u);
+  fabric_.ResumeNode(server_.id());
+  sim_.ScheduleAfter(200, [this] { fabric_.CrashNode(server_.id()); });
+  auto wcs = RunAndPoll(client_cq_);
+  ASSERT_EQ(wcs.size(), kOps);
+  std::size_t timed_out = 0;
+  for (const WorkCompletion& wc : wcs) {
+    timed_out += wc.status == WcStatus::kRetryExceeded ? 1 : 0;
+  }
+  EXPECT_GT(timed_out, 0u);
+  EXPECT_LT(timed_out, kOps);  // the crash came mid-queue
+  EXPECT_EQ(client_qp_.InFlight(), 0u);
+}
+
+TEST_F(FaultInjectionTest, CrashOfAPausedNodeReleasesHeldOps) {
+  // Ops held at a partitioned responder (originals and duplicate copies)
+  // are released when the node dies: originals time out, copies vanish.
+  FaultPlan plan;
+  FaultRule rule;
+  rule.action = FaultAction::kDuplicate;
+  rule.opcode = Opcode::kRead;
+  plan.Add(rule);
+  fabric_.InstallFaultPlan(plan);
+
+  fabric_.PauseNode(server_.id());
+  ASSERT_TRUE(PostRead(1).ok());
+  ASSERT_TRUE(PostRead(2).ok());
+  sim_.RunUntil(Millis(1));
+  EXPECT_EQ(fabric_.LiveOps(), 2u);
+  fabric_.CrashNode(server_.id());
+  auto wcs = RunAndPoll(client_cq_);
+  ASSERT_EQ(wcs.size(), 2u);
+  EXPECT_EQ(wcs[0].status, WcStatus::kRetryExceeded);
+  EXPECT_EQ(wcs[1].status, WcStatus::kRetryExceeded);
+}
+
+TEST_F(FaultInjectionTest, RecordsAreReusedAcrossOps) {
+  // Sequential traffic cycles one record: the pool never grows past the
+  // peak number of ops in flight.
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(PostRead(i).ok());
+    EXPECT_EQ(fabric_.LiveOps(), 1u);
+    sim_.Run();
+    EXPECT_EQ(fabric_.LiveOps(), 0u);
+  }
+  EXPECT_EQ(client_cq_.Poll(128).size(), 100u);
 }
 
 TEST_F(FaultInjectionTest, ScheduledNodeEventsFireFromThePlan) {

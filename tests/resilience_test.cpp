@@ -52,9 +52,9 @@ class ResilienceTest : public ::testing::Test {
     auto engine = std::make_unique<ClientQosEngine>(
         sim_, MakeClientId(0), config_, client_, qos_qp, ctrl_qp, wiring);
     engine->SetIoBackend(
-        [this](std::uint64_t, bool, ClientQosEngine::CompleteFn done) {
+        [this](std::uint64_t, bool, ClientQosEngine::IoDone done) {
           ++backend_calls_;
-          sim_.ScheduleAfter(Micros(1), [done = std::move(done)] { done(); });
+          sim_.ScheduleAfter(Micros(1), [done] { done(); });
           return Status::Ok();
         });
     return engine;
@@ -177,7 +177,7 @@ TEST_F(ResilienceTest, BackendErrorsSurfaceAsPrecondition) {
   // submissions before PeriodStart queue without invoking the backend.
   int calls = 0;
   engine->SetIoBackend(
-      [&calls](std::uint64_t, bool, ClientQosEngine::CompleteFn) {
+      [&calls](std::uint64_t, bool, ClientQosEngine::IoDone) {
         ++calls;
         return ErrResourceExhausted("always full");
       });

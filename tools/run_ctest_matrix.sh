@@ -45,6 +45,14 @@
 #                                          # failover changes (tsan covers
 #                                          # the threaded Crash/Recover
 #                                          # races)
+#   tools/run_ctest_matrix.sh asan-sim      # focused entry: the asan
+#                                          # preset restricted to the
+#                                          # simulated I/O path (sim,
+#                                          # station, rdma, fabric_stress,
+#                                          # fault_injection, chaos and
+#                                          # alloc tests) — the gate for
+#                                          # src/sim, src/net, src/rdma
+#                                          # and op-record pool changes
 #   tools/run_ctest_matrix.sh trace-spans notrace
 #                                          # the span-pipeline gate: the
 #                                          # trace preset restricted to the
@@ -104,6 +112,9 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-survivability" ]]; then
     config_preset=tsan
     ctest_args=(-L survivability)
+  elif [[ "$preset" == "asan-sim" ]]; then
+    config_preset=asan
+    ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.')
   elif [[ "$preset" == "trace-spans" ]]; then
     config_preset=trace
     ctest_args=(-L span)
