@@ -1,9 +1,7 @@
 #include "core/monitor.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
+#include <span>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -11,39 +9,12 @@
 
 namespace haechi::core {
 
-namespace {
-
-std::int64_t IopsToTokens(double iops, SimDuration period) {
-  return static_cast<std::int64_t>(std::llround(iops * ToSeconds(period)));
-}
-
-}  // namespace
-
 QosMonitor::QosMonitor(sim::Simulator& sim, const QosConfig& config,
                        rdma::Node& node, double profiled_global_iops,
                        double profiled_local_iops)
-    : sim_(sim),
-      config_(config),
-      node_(node),
-      admission_(IopsToTokens(profiled_global_iops, config.period),
-                 IopsToTokens(profiled_local_iops, config.period)) {
-  const std::int64_t profiled_tokens =
-      IopsToTokens(profiled_global_iops, config.period);
-  CapacityEstimator::Params params;
-  params.profiled = profiled_tokens;
-  params.sigma =
-      config.sigma > 0
-          ? config.sigma
-          : static_cast<std::int64_t>(std::llround(
-                static_cast<double>(profiled_tokens) * config.sigma_fraction));
-  params.eta = config.eta > 0
-                   ? config.eta
-                   : static_cast<std::int64_t>(std::llround(
-                         static_cast<double>(profiled_tokens) *
-                         config.eta_fraction));
-  params.window = config.history_window;
-  estimator_ = std::make_unique<CapacityEstimator>(params);
-
+    : MonitorCore(*this, config, profiled_global_iops, profiled_local_iops),
+      sim_(sim),
+      node_(node) {
   control_block_.resize((1 + kMaxClients) * sizeof(std::uint64_t));
   control_mr_ = &node_.pd().Register(
       std::span<std::byte>(control_block_),
@@ -51,7 +22,7 @@ QosMonitor::QosMonitor(sim::Simulator& sim, const QosConfig& config,
           rdma::access::kRemoteRead | rdma::access::kRemoteWrite |
           rdma::access::kRemoteAtomic);
 
-  if (config_.loopback_cas) {
+  if (config.loopback_cas) {
     // The monitor observes the pool word through the NIC, as the paper
     // describes: a loopback RC connection on the data node itself.
     auto& cq_a = node_.CreateCq();
@@ -68,9 +39,13 @@ QosMonitor::QosMonitor(sim::Simulator& sim, const QosConfig& config,
   }
 
   period_timer_ = std::make_unique<sim::PeriodicTimer>(
-      sim_, config_.period, [this] { StartPeriod(); });
+      sim_, config.period, [this] {
+        if (running_) StartPeriod();
+      });
   check_timer_ = std::make_unique<sim::PeriodicTimer>(
-      sim_, config_.check_interval, [this] { CheckTick(); });
+      sim_, config.check_interval, [this] {
+        if (running_) CheckTick();
+      });
 }
 
 std::int64_t QosMonitor::ReadPoolWord() const {
@@ -79,9 +54,12 @@ std::int64_t QosMonitor::ReadPoolWord() const {
   return static_cast<std::int64_t>(raw);
 }
 
-void QosMonitor::WritePoolWord(std::int64_t value) {
+MonitorPort::PoolTouch QosMonitor::WritePoolWord(std::int64_t value) {
+  const PoolTouch seen = SamplePool();
   const auto raw = static_cast<std::uint64_t>(value);
   std::memcpy(control_block_.data(), &raw, sizeof(raw));
+  last_pool_ = value;
+  return seen;
 }
 
 std::uint64_t QosMonitor::ReadSlot(std::size_t slot) const {
@@ -91,186 +69,89 @@ std::uint64_t QosMonitor::ReadSlot(std::size_t slot) const {
   return raw;
 }
 
-void QosMonitor::WriteSlot(std::size_t slot, std::uint64_t value) {
-  std::memcpy(control_block_.data() + (1 + slot) * sizeof(value), &value,
-              sizeof(value));
+void QosMonitor::PrimeSlot(std::size_t slot, std::uint64_t packed) {
+  std::memcpy(control_block_.data() + (1 + slot) * sizeof(packed), &packed,
+              sizeof(packed));
 }
 
-std::int64_t QosMonitor::GlobalPoolValue() const { return ReadPoolWord(); }
+MonitorPort::PoolTouch QosMonitor::SamplePool() {
+  const std::int64_t raw = ReadPoolWord();
+  const PoolTouch seen{raw, last_pool_ - raw};
+  last_pool_ = raw;
+  return seen;
+}
+
+std::int64_t QosMonitor::ObservePool(std::int64_t sampled) {
+  if (!config().loopback_cas) return sampled;
+  if (!loop_cas_in_flight_) {
+    // CAS(0, 0): reads the word through the NIC without disturbing it (a
+    // compare that can only "succeed" by writing the value it found). Its
+    // completion refreshes the observation a later tick sees.
+    const Status s = loop_qp_->PostCompareSwap(
+        next_wr_id_++, control_mr_->remote_addr(), control_mr_->rkey(),
+        /*expected=*/0, /*desired=*/0);
+    loop_cas_in_flight_ = s.ok();
+  }
+  return loop_observed_pool_;
+}
+
+MonitorPort::PoolTouch QosMonitor::ExchangePool(std::int64_t value) {
+  // A monitor-installed value is known without a NIC round trip.
+  loop_observed_pool_ = value;
+  return WritePoolWord(value);
+}
+
+MonitorPort::PoolTouch QosMonitor::InstallPool(std::int64_t value) {
+  // The simulator is single-threaded: nothing races the write.
+  return WritePoolWord(value);
+}
+
+void QosMonitor::Deliver(Channel channel, ClientId client,
+                         const ControlMsg& msg) {
+  auto* qp = static_cast<rdma::QueuePair*>(channel);
+  std::visit(
+      [&](const auto& m) {
+        const Status s = qp->PostSend(
+            next_wr_id_++,
+            std::span<const std::byte>(reinterpret_cast<const std::byte*>(&m),
+                                       sizeof(m)));
+        if (!s.ok()) {
+          HAECHI_LOG_WARN("monitor: ctrl send to client %u failed: %s",
+                          Raw(client), s.ToString().c_str());
+        }
+      },
+      msg);
+}
+
+void QosMonitor::Emit([[maybe_unused]] obs::ActorKind kind,
+                      [[maybe_unused]] obs::EventType type,
+                      [[maybe_unused]] std::uint32_t period,
+                      [[maybe_unused]] std::int64_t a,
+                      [[maybe_unused]] std::int64_t b,
+                      [[maybe_unused]] std::int64_t c) {
+  HAECHI_TRACE_EVENT(kind, trace_actor_, type, period, a, b, c);
+}
 
 Result<QosWiring> QosMonitor::AdmitClient(ClientId client,
                                           std::int64_t reservation,
                                           std::int64_t limit,
                                           rdma::QueuePair& ctrl_qp) {
-  [[maybe_unused]] bool readmission = false;
-  if (FindClient(client) != nullptr) {
-    // Re-admission handshake: a restarted client admits under its old id
-    // before the report lease caught its previous incarnation. Retire the
-    // stale entry first so neither its admission slot nor its report slot
-    // leaks.
-    const Status released = ReleaseClient(client);
-    HAECHI_ASSERT(released.ok());
-    ++stats_.readmissions;
-    readmission = true;
-  }
-  if (clients_.size() >= kMaxClients) {
-    return ErrResourceExhausted("monitor is at its client capacity");
-  }
-  if (limit > 0 && limit < reservation) {
-    return ErrInvalidArgument("limit below reservation");
-  }
-  if (free_slots_.empty() && next_slot_ >= kMaxClients) {
-    return ErrResourceExhausted("all report slots consumed");
-  }
-  if (auto s = admission_.Admit(client, reservation); !s.ok()) {
-    HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                       obs::EventType::kAdmitReject, stats_.periods,
-                       static_cast<std::int64_t>(Raw(client)), reservation);
-    return s;
-  }
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     readmission ? obs::EventType::kReadmit
-                                 : obs::EventType::kAdmit,
-                     stats_.periods, static_cast<std::int64_t>(Raw(client)),
-                     reservation, limit);
-
-  ClientEntry entry;
-  entry.id = client;
-  entry.reservation = reservation;
-  entry.limit = limit;
-  entry.ctrl_qp = &ctrl_qp;
-  entry.slot = AllocateSlot();
-  // Prime the (possibly recycled) slot with a stale-tagged conservative
-  // report so leftover bytes from a previous occupant cannot be read as
-  // this client's data, then baseline the lease on those bytes.
-  WriteSlot(entry.slot,
-            PackReport(stats_.periods - 1,
-                       static_cast<std::uint64_t>(
-                           std::max<std::int64_t>(reservation, 0)),
-                       0));
-  entry.last_slot_raw = ReadSlot(entry.slot);
-  entry.primed_slot_raw = entry.last_slot_raw;
-  entry.lease_misses = 0;
-  clients_.push_back(entry);
+  auto slot = MonitorCore::AdmitClient(client, reservation, limit, &ctrl_qp);
+  if (!slot.ok()) return slot.status();
   ctrl_qp.send_cq().SetNotify([](const rdma::WorkCompletion&) {});
-  if (reporting_active_) {
-    // The period's ReportRequest broadcast predates this client; ask it
-    // directly, or its silent slot would trip the report lease.
-    ReportRequestMsg msg;
-    msg.period = stats_.periods;
-    SendToClient(clients_.back(), &msg, sizeof(msg));
-  }
 
   QosWiring wiring;
   wiring.global_pool_addr = control_mr_->remote_addr();
   wiring.global_pool_rkey = control_mr_->rkey();
   wiring.report_slot_addr =
-      control_mr_->remote_addr() + (1 + entry.slot) * sizeof(std::uint64_t);
+      control_mr_->remote_addr() + (1 + slot.value()) * sizeof(std::uint64_t);
   wiring.report_slot_rkey = control_mr_->rkey();
   return wiring;
 }
 
-Status QosMonitor::ReleaseClient(ClientId client) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  if (it == clients_.end()) return ErrNotFound("client not admitted");
-  // Quarantine the slot until the next period boundary: a report WRITE the
-  // departing client already has in flight must not land in a stranger's
-  // recycled slot. Live slots are never compacted (address stability).
-  retired_slots_.push_back(it->slot);
-  clients_.erase(it);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_, obs::EventType::kRelease,
-                     stats_.periods, static_cast<std::int64_t>(Raw(client)));
-  return admission_.Release(client);
-}
-
-std::size_t QosMonitor::AllocateSlot() {
-  if (!free_slots_.empty()) {
-    const std::size_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  return next_slot_++;
-}
-
-Status QosMonitor::UpdateReservation(ClientId client,
-                                     std::int64_t reservation) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  if (it == clients_.end()) return ErrNotFound("client not admitted");
-  if (it->limit > 0 && reservation > it->limit) {
-    return ErrInvalidArgument("reservation above the client's limit");
-  }
-  if (auto s = admission_.Update(client, reservation); !s.ok()) return s;
-  const std::int64_t previous = it->reservation;
-  it->reservation = reservation;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kReservationUpdate, stats_.periods,
-                     static_cast<std::int64_t>(Raw(client)), reservation,
-                     previous);
-  return Status::Ok();
-}
-
-std::int64_t QosMonitor::LendTokens(std::int64_t want, std::uint32_t peer) {
-  if (want <= 0 || stats_.periods == 0) return 0;
-  const std::int64_t raw = ReadPoolWord();
-  const std::int64_t lent =
-      std::min(want, std::max<std::int64_t>(raw, 0));
-  if (lent <= 0) return 0;
-  const std::int64_t after = raw - lent;
-  if (!ledger_.empty()) {
-    // Movement since the last ledger sample is client grants; the lend
-    // itself is a separate ledger line, not a grant.
-    PeriodLedger& cur = ledger_.back();
-    cur.granted += ledger_last_pool_ - raw;
-    cur.lent += lent;
-    ledger_last_pool_ = after;
-  }
-  WritePoolWord(after);
-  last_written_pool_ = after;
-  loop_observed_pool_ = after;
-  borrow_credit_ -= lent;
-  stats_.lent_tokens += lent;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kPoolBorrowOut, stats_.periods, raw,
-                     after, static_cast<std::int64_t>(peer));
-  return lent;
-}
-
-void QosMonitor::AbsorbTokens(std::int64_t tokens, std::uint32_t peer) {
-  if (tokens <= 0 || stats_.periods == 0) return;
-  const std::int64_t raw = ReadPoolWord();
-  const std::int64_t after = raw + tokens;
-  if (!ledger_.empty()) {
-    PeriodLedger& cur = ledger_.back();
-    cur.granted += ledger_last_pool_ - raw;
-    cur.absorbed += tokens;
-    ledger_last_pool_ = after;
-  }
-  WritePoolWord(after);
-  last_written_pool_ = after;
-  loop_observed_pool_ = after;
-  borrow_credit_ += tokens;
-  stats_.absorbed_tokens += tokens;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kPoolBorrowIn, stats_.periods, raw,
-                     after, static_cast<std::int64_t>(peer));
-}
-
-bool QosMonitor::HasFreshReport(ClientId client) const {
-  const ClientEntry* entry = FindClient(client);
-  if (entry == nullptr) return false;
-  const std::uint64_t raw = ReadSlot(entry->slot);
-  return ReportPeriod(raw) == (stats_.periods & kReportPeriodMask) &&
-         raw != entry->primed_slot_raw;
-}
-
-Result<std::int64_t> QosMonitor::ReservationOf(ClientId client) const {
-  const ClientEntry* entry = FindClient(client);
-  if (entry == nullptr) return ErrNotFound("client not admitted");
-  return entry->reservation;
+void QosMonitor::StartTimers() {
+  period_timer_->Start();
+  check_timer_->Start();
 }
 
 void QosMonitor::Start(SimTime at) {
@@ -279,8 +160,7 @@ void QosMonitor::Start(SimTime at) {
   sim_.ScheduleAt(at, [this] {
     if (!running_) return;
     StartPeriod();
-    period_timer_->Start();
-    check_timer_->Start();
+    StartTimers();
   });
 }
 
@@ -290,589 +170,19 @@ void QosMonitor::Stop() {
   check_timer_->Stop();
 }
 
-void QosMonitor::SendToClient(ClientEntry& entry, const void* msg,
-                              std::size_t len) {
-  const Status s = entry.ctrl_qp->PostSend(
-      next_wr_id_++,
-      std::span<const std::byte>(static_cast<const std::byte*>(msg), len));
-  if (!s.ok()) {
-    HAECHI_LOG_WARN("monitor: ctrl send to client %u failed: %s",
-                    Raw(entry.id), s.ToString().c_str());
-  }
-}
-
-void QosMonitor::StartPeriod() {
-  if (!running_) return;
-  // The first boundary after a recovery provisions fresh state only: the
-  // crashed period never completed, so there is nothing to calibrate, no
-  // ledger to close (the crashed entry stays UNCLOSED — no period-end
-  // emit), no settled watchdog verdicts for the controller to act on, and
-  // slots retired during recovery reconciliation have not yet sat out a
-  // full boundary (stale in-flight WRITEs may still land in them).
-  const bool recovering = recovered_pending_;
-  recovered_pending_ = false;
-  if (stats_.periods > 0 && !recovering) Calibrate();
-  dead_completed_this_period_ = 0;
-
-  // Close the ledger of the period that just ended: attribute the final
-  // pool movement to grants and snapshot the boundary value.
-  if (!ledger_.empty() && !recovering) {
-    PeriodLedger& prev = ledger_.back();
-    const std::int64_t raw = ReadPoolWord();
-    prev.granted += ledger_last_pool_ - raw;
-    prev.end_pool = raw;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                       obs::EventType::kMonitorPeriodEnd, stats_.periods, raw,
-                       stats_.last_period_completions, prev.granted);
-  }
-
-  // Closed-loop control boundary: the period-end emit above just ran the
-  // recorder tap, so the watchdog's verdicts for the ended period are
-  // settled; apply the controller's plan before the next period reads the
-  // reservations (resizes take effect immediately, and they are
-  // sum-neutral so the pool provisioning below is unaffected).
-  if (controller_ != nullptr && stats_.periods > 0 && !recovering) {
-    RunControlBoundary();
-  }
-
-  // Slots retired last period sat out a full boundary; any stale in-flight
-  // WRITE to them has long landed, so they are safe to recycle.
-  if (!recovering) {
-    free_slots_.insert(free_slots_.end(), retired_slots_.begin(),
-                       retired_slots_.end());
-    retired_slots_.clear();
-  }
-
-  ++stats_.periods;
-  period_start_time_ = sim_.Now();
-  reporting_active_ = false;
-  borrow_credit_ = 0;
-
-  period_capacity_ = estimator_->Estimate();
-  std::int64_t total_reserved = 0;
-  for (const auto& entry : clients_) total_reserved += entry.reservation;
-  initial_pool_ = std::max<std::int64_t>(period_capacity_ - total_reserved, 0);
-  WritePoolWord(initial_pool_);
-  loop_observed_pool_ = initial_pool_;
-  last_written_pool_ = initial_pool_;
-  recent_grants_.clear();
-
-  PeriodLedger ledger;
-  ledger.period = stats_.periods;
-  ledger.capacity = period_capacity_;
-  ledger.dispatched = total_reserved;
-  ledger.initial_pool = initial_pool_;
-  ledger.end_pool = initial_pool_;
-  ledger_.push_back(ledger);
-  ledger_last_pool_ = initial_pool_;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kMonitorPeriodStart, stats_.periods,
-                     period_capacity_, total_reserved, initial_pool_);
-  // Bound memory on endless runs; tests look at recent periods only.
-  if (ledger_.size() > 4096) ledger_.erase(ledger_.begin());
-
-  // Step T1: push fresh reservation tokens; the message is also the
-  // period-start signal. Report slots are primed with the full residual so
-  // token conversion is conservative until the first real report lands.
-  for (auto& entry : clients_) {
-    WriteSlot(entry.slot,
-              PackReport(stats_.periods,
-                         static_cast<std::uint64_t>(
-                             std::max<std::int64_t>(entry.reservation, 0)),
-                         0));
-    // The prime re-baselines the lease: every client gets a fresh k-check
-    // allowance each period.
-    entry.last_slot_raw = ReadSlot(entry.slot);
-    entry.primed_slot_raw = entry.last_slot_raw;
-    entry.lease_misses = 0;
-    PeriodStartMsg msg;
-    msg.period = stats_.periods;
-    msg.reservation_tokens = entry.reservation;
-    msg.limit = entry.limit;
-    SendToClient(entry, &msg, sizeof(msg));
-  }
-
-  // Forced early conversion (controller kForceConversion): activate
-  // reporting at the period start instead of waiting for S2 — with a zero
-  // initial pool the word can never be observed to decrease, so S2 alone
-  // would leave conversion off and pool-dependent clients starved (W6).
-  if (force_reporting_ && !reporting_active_) {
-    ActivateReporting(ReadPoolWord());
-  }
-
-  if (config_.checkpoint_every_periods > 0 &&
-      stats_.periods % config_.checkpoint_every_periods == 0) {
-    CaptureCheckpoint();
-  }
-}
-
-void QosMonitor::CaptureCheckpoint() {
-  checkpoint_.valid = true;
-  checkpoint_.epoch = stats_.periods;
-  checkpoint_.capacity = period_capacity_;
-  checkpoint_.pool_word = initial_pool_;
-  checkpoint_.reservation_sum = 0;
-  checkpoint_.clients.clear();
-  for (const auto& entry : clients_) {
-    checkpoint_.clients.push_back({entry.id, entry.reservation, entry.limit,
-                                   entry.slot, entry.ctrl_qp});
-    checkpoint_.reservation_sum += entry.reservation;
-  }
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kMonitorCheckpoint, stats_.periods,
-                     static_cast<std::int64_t>(checkpoint_.epoch),
-                     checkpoint_.reservation_sum, checkpoint_.pool_word);
-}
-
 void QosMonitor::Crash() {
-  if (crashed_) return;
-  running_ = false;
-  crashed_ = true;
-  period_timer_->Stop();
-  check_timer_->Stop();
-  ++stats_.crashes;
-  if (!ledger_.empty()) ledger_.back().crashed = true;
-  // The in-memory client table dies with the process; the registered
-  // control region (pool word, report slots, checkpoint) survives. Keep
-  // only the wreckage (id + slot) recovery reconciles against. Admission
-  // state is conceptually part of the region and is reconciled too.
-  wreckage_.clear();
-  for (const auto& entry : clients_) {
-    wreckage_.emplace_back(entry.id, entry.slot);
-  }
-  clients_.clear();
-  HAECHI_LOG_WARN("monitor %u: control plane crashed in period %u",
-                  trace_actor_, stats_.periods);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kMonitorCrash, stats_.periods);
+  if (!MonitorCore::Crash()) return;
+  Stop();
 }
 
 void QosMonitor::Recover(SimTime at) {
-  HAECHI_EXPECTS(crashed_);
+  HAECHI_EXPECTS(Crashed());
   running_ = true;
   sim_.ScheduleAt(at, [this] {
-    if (!running_ || !crashed_) return;
-    crashed_ = false;
-    ++stats_.recoveries;
-
-    // Reconcile the checkpoint against the wreckage: a client admitted
-    // after the last checkpoint is unknown to the restarted monitor — its
-    // admission is released and its slot retired (it re-admits through the
-    // normal handshake). A checkpointed client that departed before the
-    // crash is not in the wreckage and must not be resurrected.
-    std::uint32_t reconciled = 0;
-    for (const auto& [id, slot] : wreckage_) {
-      const bool checkpointed =
-          checkpoint_.valid &&
-          std::any_of(checkpoint_.clients.begin(), checkpoint_.clients.end(),
-                      [id = id](const Checkpoint::Client& c) {
-                        return c.id == id;
-                      });
-      if (checkpointed) continue;
-      const Status released = admission_.Release(id);
-      HAECHI_ASSERT(released.ok());
-      retired_slots_.push_back(slot);
-    }
-    if (checkpoint_.valid) {
-      for (const auto& c : checkpoint_.clients) {
-        const bool live = std::any_of(
-            wreckage_.begin(), wreckage_.end(),
-            [&](const auto& w) { return w.first == c.id; });
-        if (!live) continue;
-        ClientEntry entry;
-        entry.id = c.id;
-        entry.reservation = c.reservation;
-        entry.limit = c.limit;
-        entry.ctrl_qp = c.ctrl_qp;
-        entry.slot = c.slot;
-        // Live-slot reconciliation: adopt whatever the client wrote while
-        // the monitor was down as the lease baseline, and count slots
-        // whose period tag proves a report landed since the checkpoint.
-        entry.last_slot_raw = ReadSlot(c.slot);
-        entry.primed_slot_raw = entry.last_slot_raw;
-        entry.lease_misses = 0;
-        if (ReportPeriod(entry.last_slot_raw) ==
-            (checkpoint_.epoch & kReportPeriodMask)) {
-          ++reconciled;
-        }
-        clients_.push_back(entry);
-        // Realign admission with the restored reservation (a resize may
-        // have happened between the checkpoint and the crash).
-        const Status synced = admission_.Update(c.id, c.reservation);
-        HAECHI_ASSERT(synced.ok());
-      }
-    }
-    wreckage_.clear();
-    HAECHI_LOG_WARN(
-        "monitor %u: recovered from checkpoint epoch %u (%zu clients, "
-        "%lld reserved)",
-        trace_actor_, checkpoint_.epoch, clients_.size(),
-        static_cast<long long>(checkpoint_.reservation_sum));
-    HAECHI_TRACE_EVENT(
-        obs::ActorKind::kMonitor, trace_actor_, obs::EventType::kMonitorRecover,
-        stats_.periods,
-        static_cast<std::int64_t>(checkpoint_.valid ? checkpoint_.epoch : 0),
-        checkpoint_.valid ? checkpoint_.reservation_sum : 0,
-        static_cast<std::int64_t>(reconciled));
-
-    // Recovery handshake: every restored client proves liveness with an
-    // immediate report write before boundary sweeps resume.
-    RecoverySyncMsg msg;
-    msg.period = checkpoint_.epoch;
-    for (auto& entry : clients_) SendToClient(entry, &msg, sizeof(msg));
-
-    recovered_pending_ = true;
-    StartPeriod();
-    period_timer_->Start();
-    check_timer_->Start();
+    if (!running_ || !Crashed()) return;
+    MonitorCore::Recover();
+    StartTimers();
   });
-}
-
-void QosMonitor::ActivateReporting(std::int64_t observed_pool) {
-  reporting_active_ = true;
-  ++stats_.report_signals;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kReportSignal, stats_.periods,
-                     observed_pool, initial_pool_);
-  ReportRequestMsg msg;
-  msg.period = stats_.periods;
-  for (auto& entry : clients_) SendToClient(entry, &msg, sizeof(msg));
-}
-
-void QosMonitor::RunControlBoundary() {
-  // The view: reservations as configured, completions as reported for the
-  // period that just ended (slots still hold the final reports here — they
-  // are re-primed only when the next period starts below).
-  std::vector<control::QosController::ClientView> view;
-  view.reserve(clients_.size());
-  for (const auto& entry : clients_) {
-    std::int64_t completed = 0;
-    const std::uint64_t slot = ReadSlot(entry.slot);
-    if (ReportPeriod(slot) == (stats_.periods & kReportPeriodMask)) {
-      completed = static_cast<std::int64_t>(ReportCompleted(slot));
-    }
-    // The admissible region caps the planning limit: a receiver can never
-    // be grown past the per-client local capacity, so every planned resize
-    // passes admission_.Update and the emitted deltas stay sum-neutral.
-    const std::int64_t local = admission_.LocalCapacity();
-    const std::int64_t plan_limit =
-        entry.limit > 0 ? std::min(entry.limit, local) : local;
-    view.push_back({Raw(entry.id), entry.reservation, plan_limit, completed});
-  }
-  std::sort(view.begin(), view.end(),
-            [](const control::QosController::ClientView& x,
-               const control::QosController::ClientView& y) {
-              return x.client < y.client;
-            });
-
-  const control::QosController::Boundary plan =
-      controller_->PlanBoundary(stats_.periods, view);
-  for (const auto& r : plan.recovered) {
-    HAECHI_TRACE_EVENT(obs::ActorKind::kController, trace_actor_,
-                       obs::EventType::kControlRecovered, stats_.periods,
-                       static_cast<std::int64_t>(r.rule), r.client,
-                       static_cast<std::int64_t>(r.periods));
-  }
-  for (const auto& action : plan.actions) {
-    bool applied = false;
-    std::int64_t payload = action.value;
-    switch (action.kind) {
-      case control::ActionKind::kResize: {
-        const Status s = UpdateReservation(
-            MakeClientId(static_cast<std::uint32_t>(action.client)),
-            action.value);
-        if (!s.ok()) {
-          HAECHI_LOG_WARN("controller: resize of client %lld failed: %s",
-                          static_cast<long long>(action.client),
-                          s.ToString().c_str());
-        }
-        applied = s.ok();
-        payload = action.delta;
-        break;
-      }
-      case control::ActionKind::kScaleEta:
-        estimator_->SetEtaScaleMilli(action.value);
-        applied = true;
-        break;
-      case control::ActionKind::kForceConversion:
-        force_reporting_ = true;
-        applied = true;
-        break;
-      case control::ActionKind::kReadmit:
-        if (readmit_cb_) {
-          readmit_cb_(MakeClientId(static_cast<std::uint32_t>(action.client)));
-          applied = true;
-        }
-        break;
-    }
-    if (applied) {
-      HAECHI_TRACE_EVENT(obs::ActorKind::kController, trace_actor_,
-                         obs::EventType::kControlAction, stats_.periods,
-                         static_cast<std::int64_t>(action.kind), action.client,
-                         payload);
-    }
-  }
-}
-
-void QosMonitor::CheckTick() {
-  if (!running_ || stats_.periods == 0) return;
-  ++stats_.checks;
-
-  // Ledger grant sampling reads the word directly (it is local memory, so
-  // this is exact even when the QoS observation path is loopback CAS).
-  if (!ledger_.empty()) {
-    const std::int64_t raw = ReadPoolWord();
-    ledger_.back().granted += ledger_last_pool_ - raw;
-    ledger_last_pool_ = raw;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                       obs::EventType::kPoolSample, stats_.periods, raw);
-  }
-
-  std::int64_t observed_now;
-  if (config_.loopback_cas) {
-    observed_now = loop_observed_pool_;
-    if (!loop_cas_in_flight_) {
-      // CAS(0, 0): reads the word through the NIC without disturbing it
-      // (a compare that can only "succeed" by writing the value it found).
-      const Status s = loop_qp_->PostCompareSwap(
-          next_wr_id_++, control_mr_->remote_addr(), control_mr_->rkey(),
-          /*expected=*/0, /*desired=*/0);
-      loop_cas_in_flight_ = s.ok();
-    }
-  } else {
-    observed_now = ReadPoolWord();
-  }
-
-  // Tokens granted since the last check: the word only moves down between
-  // monitor writes, and a draw against an empty pool grants nothing.
-  const std::int64_t grants =
-      std::max<std::int64_t>(last_written_pool_, 0) -
-      std::max<std::int64_t>(observed_now, 0);
-  recent_grants_.push_back(std::max<std::int64_t>(grants, 0));
-  // Lag window: a report in flight can be ~report_interval + transit old;
-  // keep enough intervals to cover it (+1 for safety).
-  const std::size_t lag_checks =
-      static_cast<std::size_t>(config_.report_interval /
-                               std::max<SimDuration>(config_.check_interval,
-                                                     1)) +
-      2;
-  while (recent_grants_.size() > lag_checks) recent_grants_.pop_front();
-  last_written_pool_ = observed_now;
-
-  // Step S2: reservation-token overflow — someone is drawing on the pool.
-  if (!reporting_active_ && observed_now < initial_pool_) {
-    ActivateReporting(observed_now);
-  }
-
-  // Report lease: only meaningful once clients were asked to report.
-  if (reporting_active_ && config_.report_lease_intervals > 0) CheckLeases();
-
-  // Step T2: token conversion.
-  if (reporting_active_ && config_.token_conversion) ConvertTokens();
-}
-
-void QosMonitor::CheckLeases() {
-  // Two-phase: collect expirations first, then declare — DeclareDead
-  // erases from clients_ and must not run under this iteration.
-  std::vector<ClientId> dead;
-  for (ClientEntry& entry : clients_) {
-    const std::uint64_t raw = ReadSlot(entry.slot);
-    if (raw != entry.last_slot_raw) {
-      entry.last_slot_raw = raw;
-      entry.lease_misses = 0;
-      continue;
-    }
-    ++entry.lease_misses;
-    if (entry.lease_misses ==
-        std::max<std::uint32_t>(config_.report_lease_intervals / 2, 1)) {
-      // Half-lease nudge: the ReportRequest SEND itself may have been
-      // lost; a live client answers this within one report interval.
-      ++stats_.report_request_resends;
-      HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                         obs::EventType::kReportResend, stats_.periods,
-                         static_cast<std::int64_t>(Raw(entry.id)));
-      ReportRequestMsg msg;
-      msg.period = stats_.periods;
-      SendToClient(entry, &msg, sizeof(msg));
-    }
-    if (entry.lease_misses >= config_.report_lease_intervals) {
-      dead.push_back(entry.id);
-    }
-  }
-  for (const ClientId id : dead) DeclareDead(id);
-}
-
-void QosMonitor::DeclareDead(ClientId client) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  if (it == clients_.end()) return;
-  // Unreported residual: the client's own last word if it reported this
-  // period, else the full reservation it was dispatched.
-  const std::uint64_t slot = ReadSlot(it->slot);
-  std::int64_t residual;
-  std::int64_t salvaged = 0;
-  if (ReportPeriod(slot) == (stats_.periods & kReportPeriodMask)) {
-    residual = static_cast<std::int64_t>(ReportResidual(slot));
-    salvaged = static_cast<std::int64_t>(ReportCompleted(slot));
-    dead_completed_this_period_ += salvaged;
-  } else {
-    residual = std::max<std::int64_t>(it->reservation, 0);
-  }
-  HAECHI_LOG_WARN(
-      "monitor: client %u report lease expired after %u checks; reclaiming "
-      "%lld residual tokens",
-      Raw(client), it->lease_misses, static_cast<long long>(residual));
-  ++stats_.lease_expirations;
-  HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                     obs::EventType::kLeaseExpire, stats_.periods,
-                     static_cast<std::int64_t>(Raw(client)), residual,
-                     salvaged);
-  stats_.reclaimed_tokens += residual;
-  if (!ledger_.empty()) ledger_.back().reclaimed += residual;
-  retired_slots_.push_back(it->slot);
-  clients_.erase(it);
-  const Status released = admission_.Release(client);
-  HAECHI_ASSERT(released.ok());
-  // Work conservation: realise the reclaimed residual in the pool now —
-  // the dead client no longer contributes to L, so conversion re-mints
-  // its surrendered claims for everyone else.
-  if (config_.token_conversion && reporting_active_) ConvertTokens();
-  if (client_dead_cb_) client_dead_cb_(client);
-}
-
-void QosMonitor::ConvertTokens() {
-  std::int64_t outstanding_reservation = 0;  // the paper's L
-  // Dead clients' salvaged completions still count against this period's
-  // completion budget.
-  std::int64_t completed_so_far = dead_completed_this_period_;
-  for (const auto& entry : clients_) {
-    const std::uint64_t slot = ReadSlot(entry.slot);
-    if (ReportPeriod(slot) == (stats_.periods & kReportPeriodMask)) {
-      outstanding_reservation += ReportResidual(slot);
-      completed_so_far += ReportCompleted(slot);
-    } else {
-      // Stale (in-flight across the boundary) or missing report: assume
-      // the full reservation is still outstanding — conservative, like the
-      // slot prime it replaced.
-      outstanding_reservation += entry.reservation;
-    }
-  }
-  const SimDuration elapsed = sim_.Now() - period_start_time_;
-  const SimDuration left =
-      std::max<SimDuration>(config_.period - elapsed, 0);
-  // Remaining capacity is the smaller of the paper's time-based budget
-  // C*(T-t)/T and the completion-based budget C - U(t). The time budget
-  // throttles the pool when the node under-delivers (over-estimated
-  // capacity, Fig 16); the completion budget makes conversion strictly
-  // token-conserving — it can recycle surrendered reservations but never
-  // mint tokens beyond the period's capacity estimate, which preserves the
-  // exact U == Omega underestimation signal Algorithm 1's recovery rests
-  // on (Fig 18). (128-bit intermediate: tokens * ns overflows 64 bits.)
-  const auto time_budget = static_cast<std::int64_t>(
-      static_cast<__int128>(period_capacity_) * left / config_.period);
-  const std::int64_t completion_budget =
-      period_capacity_ - completed_so_far;
-  const std::int64_t remaining_capacity =
-      std::min(time_budget, completion_budget);
-  // Grants from the last few checks are invisible in the (lagged) reports;
-  // without this correction the conversion would re-mint them every check.
-  std::int64_t unreported_grants = 0;
-  for (const std::int64_t g : recent_grants_) unreported_grants += g;
-  // borrow_credit_ (absorbed - lent this period) shifts the target so a
-  // conversion pass neither clobbers tokens a peer transferred in nor
-  // re-mints tokens this node lent out.
-  const std::int64_t new_pool = std::max<std::int64_t>(
-      remaining_capacity - outstanding_reservation - unreported_grants +
-          borrow_credit_,
-      0);
-  if (!ledger_.empty()) {
-    // Attribute pool movement since the last ledger sample to grants, and
-    // the overwrite itself to minting (negative when conversion shrinks
-    // the pool as the period drains).
-    PeriodLedger& cur = ledger_.back();
-    const std::int64_t raw_before = ReadPoolWord();
-    cur.granted += ledger_last_pool_ - raw_before;
-    cur.minted += new_pool - raw_before;
-    ledger_last_pool_ = new_pool;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                       obs::EventType::kTokenConvert, stats_.periods,
-                       raw_before, new_pool, outstanding_reservation);
-  }
-  WritePoolWord(new_pool);
-  last_written_pool_ = new_pool;
-  ++stats_.conversions;
-}
-
-void QosMonitor::Calibrate() {
-  // Step T3: feed Algorithm 1 with the reported completion total. Without
-  // any reports this period (pool untouched), there is no signal — skip.
-  // Clients that died mid-period still did their reported work; start the
-  // total from their salvaged counts so Algorithm 1 does not read a crash
-  // as a capacity drop.
-  std::int64_t total_completed = dead_completed_this_period_;
-  for (const auto& entry : clients_) {
-    const std::uint64_t slot = ReadSlot(entry.slot);
-    if (ReportPeriod(slot) == (stats_.periods & kReportPeriodMask)) {
-      total_completed += ReportCompleted(slot);
-      HAECHI_TRACE_EVENT(
-          obs::ActorKind::kMonitor, trace_actor_,
-          obs::EventType::kClientPeriodReport,
-          stats_.periods, static_cast<std::int64_t>(Raw(entry.id)),
-          static_cast<std::int64_t>(ReportCompleted(slot)),
-          static_cast<std::int64_t>(ReportResidual(slot)));
-    }
-  }
-  stats_.last_period_completions = total_completed;
-  if (reporting_active_) {
-    estimator_->OnPeriodEnd(total_completed);
-    HAECHI_TRACE_EVENT(obs::ActorKind::kMonitor, trace_actor_,
-                       obs::EventType::kCapacityEstimate, stats_.periods,
-                       total_completed, estimator_->Estimate(),
-                       static_cast<std::int64_t>(estimator_->LastDecision()));
-
-    for (auto& entry : clients_) {
-      const std::uint64_t slot = ReadSlot(entry.slot);
-      if (ReportPeriod(slot) != (stats_.periods & kReportPeriodMask)) continue;
-      const auto completed =
-          static_cast<std::int64_t>(ReportCompleted(slot));
-      if (completed < entry.reservation) {
-        ++entry.underuse_streak;
-        if (entry.underuse_streak >= config_.underuse_alert_periods) {
-          ++stats_.over_reserve_hints;
-          if (over_reserve_cb_) over_reserve_cb_(entry.id);
-          OverReserveHintMsg msg;
-          msg.consecutive_periods = entry.underuse_streak;
-          SendToClient(entry, &msg, sizeof(msg));
-          entry.underuse_streak = 0;
-        }
-      } else {
-        entry.underuse_streak = 0;
-      }
-    }
-  }
-  if (period_hook_) {
-    period_hook_(stats_.periods, total_completed, estimator_->Estimate());
-  }
-}
-
-const QosMonitor::ClientEntry* QosMonitor::FindClient(ClientId client) const {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  return it == clients_.end() ? nullptr : &*it;
-}
-
-std::uint32_t QosMonitor::LastResidual(ClientId client) const {
-  const ClientEntry* entry = FindClient(client);
-  HAECHI_EXPECTS(entry != nullptr);
-  return ReportResidual(ReadSlot(entry->slot));
-}
-
-std::uint32_t QosMonitor::LastCompleted(ClientId client) const {
-  const ClientEntry* entry = FindClient(client);
-  HAECHI_EXPECTS(entry != nullptr);
-  return ReportCompleted(ReadSlot(entry->slot));
 }
 
 }  // namespace haechi::core

@@ -1,129 +1,35 @@
-// The data-node QoS monitor (paper §II-E).
+// The data-node QoS monitor on simulated verbs (paper §II-E): the sim
+// adapter around MonitorCore, which holds every protocol rule.
 //
-// Responsibilities per QoS period:
-//   T1  dispatch fresh reservation tokens to every admitted client over
-//       two-sided RDMA and initialise the global pool word to
-//       C - sum(R_i);
-//   S1  wake every check interval and observe the global pool (local load,
-//       or loopback RDMA CAS when configured);
-//   S2/S3 on the first observed decrease, ask all clients to begin
-//       periodic reporting;
-//   T2  token conversion: xi_global <- max{C*(T-t)/T - L, 0}, where L is
-//       the sum of last-reported residual reservations — reclaiming tokens
-//       surrendered by low-demand clients while capping the pool to the
-//       capacity remaining in the period;
-//   T3  at the period boundary, feed the reported completion total into
-//       Algorithm 1 (CapacityEstimator) and flag persistently under-using
-//       clients.
-//
+// What this adapter adds is transport only:
+//   * the control block — word 0 the global pool, words 1..kMaxClients the
+//     report slots — registered as one MR in the data node's protection
+//     domain, so clients reach it with one-sided FAA and WRITE;
+//   * the pool observation path: a local load, or (config.loopback_cas) a
+//     loopback RDMA CAS(0, 0) through the NIC, whose result lags;
+//   * two-sided control SENDs on each client's monitor-side ctrl QP;
+//   * sim::PeriodicTimers for the period boundary and the check tick, and
+//     the scheduled Start/Recover instants.
 // Admission control (AdmissionController) guards both capacity constraints
 // before a client is wired in.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "core/admission.hpp"
-#include "core/capacity_estimator.hpp"
 #include "core/config.hpp"
-#include "core/control/controller.hpp"
+#include "core/monitor_core.hpp"
 #include "core/wire.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/simulator.hpp"
 
 namespace haechi::core {
 
-class QosMonitor {
+class QosMonitor final : private MonitorPort, public MonitorCore {
  public:
-  struct Stats {
-    std::uint32_t periods = 0;
-    std::uint64_t checks = 0;
-    std::uint64_t conversions = 0;
-    std::uint64_t report_signals = 0;
-    std::uint64_t over_reserve_hints = 0;
-    std::int64_t last_period_completions = 0;
-    /// Clients declared dead by the report lease.
-    std::uint64_t lease_expirations = 0;
-    /// AdmitClient calls that replaced a still-admitted incarnation of the
-    /// same client id (post-restart re-admission handshake).
-    std::uint64_t readmissions = 0;
-    /// Residual claims reclaimed from dead clients (tokens).
-    std::int64_t reclaimed_tokens = 0;
-    /// Half-lease ReportRequest retransmissions to silent clients.
-    std::uint64_t report_request_resends = 0;
-    /// Sharded-pool rebalance passes that moved tokens, and the tokens
-    /// moved (threaded runtime only; always 0 with one shard / in the
-    /// simulator, which models a single remote word).
-    std::uint64_t rebalances = 0;
-    std::int64_t rebalanced_tokens = 0;
-    /// Cross-server borrowing (cluster deployments): tokens this monitor
-    /// lent out of its pool and absorbed into it.
-    std::int64_t lent_tokens = 0;
-    std::int64_t absorbed_tokens = 0;
-    /// Control-plane survivability (DESIGN.md §15): scripted monitor
-    /// crashes taken and recoveries completed from the checkpoint.
-    std::uint64_t crashes = 0;
-    std::uint64_t recoveries = 0;
-  };
-
-  /// Per-period token ledger, one entry per started period. All fields are
-  /// exact (the monitor reads the pool word from its own memory), so tests
-  /// can assert conservation identities:
-  ///   initial_pool + minted + absorbed - granted - lent == end_pool
-  ///                                                        (always)
-  ///   dispatched + initial_pool == capacity                (when
-  ///                                        dispatched <= capacity)
-  struct PeriodLedger {
-    std::uint32_t period = 0;
-    /// Capacity estimate the period was provisioned with (T * C_hat).
-    std::int64_t capacity = 0;
-    /// Reservation tokens dispatched at T1 (sum of R_i).
-    std::int64_t dispatched = 0;
-    std::int64_t initial_pool = 0;
-    /// Net pool adjustment by token conversion: positive mints recycled
-    /// tokens, negative expires them as the period drains.
-    std::int64_t minted = 0;
-    /// Pool tokens drawn by client FAAs (observed word decreases).
-    std::int64_t granted = 0;
-    /// Portion of `minted` attributable to dead-client reclamation.
-    std::int64_t reclaimed = 0;
-    /// Pool word at the period boundary (pre-re-initialisation).
-    std::int64_t end_pool = 0;
-    /// Cross-server borrow movements (cluster deployments): tokens this
-    /// monitor lent to peers and absorbed from peers this period.
-    std::int64_t lent = 0;
-    std::int64_t absorbed = 0;
-    /// The monitor crashed inside this period: the entry never closed
-    /// (no period-end emit, end_pool left at its creation value) and the
-    /// conservation identities deliberately do not apply to it.
-    bool crashed = false;
-  };
-
-  /// Epoch-stamped provisioning snapshot a restarted monitor recovers from
-  /// (DESIGN.md §15). Conceptually lives in the registered control region:
-  /// it survives a monitor *process* crash exactly because the region (pool
-  /// word, report slots) does.
-  struct Checkpoint {
-    struct Client {
-      ClientId id{};
-      std::int64_t reservation = 0;
-      std::int64_t limit = 0;
-      std::size_t slot = 0;
-      rdma::QueuePair* ctrl_qp = nullptr;
-    };
-    bool valid = false;
-    std::uint32_t epoch = 0;  // period the snapshot was taken at
-    std::int64_t reservation_sum = 0;
-    std::int64_t pool_word = 0;  // initial pool the epoch was provisioned with
-    std::int64_t capacity = 0;
-    std::vector<Client> clients;
-  };
-
   /// Capacities in IOPS, as profiled (Experiment Set 1). `node` is the
   /// data node; the control block MR lives in its protection domain.
   QosMonitor(sim::Simulator& sim, const QosConfig& config, rdma::Node& node,
@@ -140,227 +46,60 @@ class QosMonitor {
                                 std::int64_t limit,
                                 rdma::QueuePair& ctrl_qp);
 
-  /// Removes a client and releases its reservation.
-  Status ReleaseClient(ClientId client);
-
-  /// Changes an admitted client's reservation, enforcing both capacity
-  /// constraints. Takes effect at the next period boundary (tokens already
-  /// dispatched are never clawed back mid-period). Used by the
-  /// multi-data-node coordinator to shift reservation between nodes.
-  Status UpdateReservation(ClientId client, std::int64_t reservation);
-
-  /// The reservation currently configured for a client.
-  [[nodiscard]] Result<std::int64_t> ReservationOf(ClientId client) const;
-
   /// Multi-monitor deployments: the actor id this monitor stamps on its
   /// trace events (the data-node index). Must be set before Start(), or
   /// several monitors would interleave one per-actor ring and corrupt the
   /// per-actor seq streams the audit relies on.
   void SetTraceActor(std::uint32_t actor) { trace_actor_ = actor; }
-  [[nodiscard]] std::uint32_t trace_actor() const { return trace_actor_; }
-
-  /// Cross-server borrowing (cluster coordinator only). LendTokens drains
-  /// up to `want` tokens from the pool word — never below zero — and
-  /// returns the amount actually removed; AbsorbTokens credits tokens
-  /// borrowed from peer node `peer`. Both are exact ledger movements
-  /// (`lent`/`absorbed`), and the running net credit feeds token
-  /// conversion so a conversion pass neither re-mints lent tokens nor
-  /// clobbers absorbed ones.
-  [[nodiscard]] std::int64_t LendTokens(std::int64_t want,
-                                        std::uint32_t peer);
-  void AbsorbTokens(std::int64_t tokens, std::uint32_t peer);
-
-  /// True when `client`'s report slot holds a report written this period
-  /// (as opposed to the boundary prime or a stale cross-boundary write).
-  /// The cluster coordinator uses this to skip rebalancing on nodes whose
-  /// report went missing for the period.
-  [[nodiscard]] bool HasFreshReport(ClientId client) const;
-
-  /// Index of the current QoS period (0 before Start()).
-  [[nodiscard]] std::uint32_t CurrentPeriod() const { return stats_.periods; }
 
   /// Starts period 1 at absolute time `at` and runs until Stop().
   void Start(SimTime at);
   void Stop();
 
-  /// Control-plane survivability (DESIGN.md §15). Crash() models the
-  /// monitor process dying: timers stop, the live client table is lost
-  /// (the registered control region — pool word, report slots — and the
-  /// in-region checkpoint survive). Recover(at) restarts it: provisioning
-  /// state is rebuilt from the last checkpoint, reconciled against the
-  /// live report slots, a RecoverySync handshake is sent to every restored
-  /// client, and a fresh period is provisioned — without closing the
-  /// crashed period's ledger (it stays UNCLOSED; identities skip it).
+  /// Crash() stops the timers and drops the live client table (see
+  /// MonitorCore::Crash); Recover(at) restarts the monitor from its
+  /// checkpoint at `at`.
   void Crash();
   void Recover(SimTime at);
-  [[nodiscard]] bool Crashed() const { return crashed_; }
-  [[nodiscard]] const Checkpoint& checkpoint() const { return checkpoint_; }
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const AdmissionController& admission() const {
-    return admission_;
-  }
-  [[nodiscard]] const CapacityEstimator& estimator() const {
-    return *estimator_;
-  }
 
   /// Current pool word (signed; negative after over-draining FAAs).
-  [[nodiscard]] std::int64_t GlobalPoolValue() const;
-
-  /// Tokens the pool started this period with.
-  [[nodiscard]] std::int64_t InitialPool() const { return initial_pool_; }
-
-  /// Capacity (tokens) allocated for the current period.
-  [[nodiscard]] std::int64_t PeriodCapacity() const { return period_capacity_; }
-
-  [[nodiscard]] bool ReportingActive() const { return reporting_active_; }
-
-  /// Last values read from a client's report slot.
-  [[nodiscard]] std::uint32_t LastResidual(ClientId client) const;
-  [[nodiscard]] std::uint32_t LastCompleted(ClientId client) const;
-
-  /// Per-period token ledger (one entry per started period, oldest first;
-  /// the newest entry is still accumulating until its boundary).
-  [[nodiscard]] const std::vector<PeriodLedger>& ledger() const {
-    return ledger_;
-  }
-
-  /// Invoked when a client under-uses its reservation for
-  /// `underuse_alert_periods` consecutive periods.
-  void SetOverReserveCallback(std::function<void(ClientId)> fn) {
-    over_reserve_cb_ = std::move(fn);
-  }
-
-  /// Invoked after the report lease declares a client dead and its
-  /// reservation has been released (admission slot already freed).
-  void SetClientDeadCallback(std::function<void(ClientId)> fn) {
-    client_dead_cb_ = std::move(fn);
-  }
-
-  /// Per-period telemetry hook, fired at each boundary after calibration:
-  /// (period index just ended, total reported completions, capacity
-  /// estimate for the next period).
-  using PeriodHook =
-      std::function<void(std::uint32_t, std::int64_t, std::int64_t)>;
-  void SetPeriodHook(PeriodHook fn) { period_hook_ = std::move(fn); }
-
-  /// Wires the closed-loop controller (DESIGN.md §14). At every boundary —
-  /// after the period-end emit settled the watchdog's verdicts, before the
-  /// next period is provisioned — the monitor hands the controller a
-  /// per-client view, applies the returned plan (reservation resizes, eta
-  /// damping, forced conversion) and emits one kControlAction per applied
-  /// action. `readmit` is invoked for kReadmit actions; the harness owns
-  /// re-admission (it must defer actual re-wiring off this call stack).
-  void SetController(control::QosController* controller,
-                     std::function<void(ClientId)> readmit) {
-    controller_ = controller;
-    readmit_cb_ = std::move(readmit);
-  }
+  [[nodiscard]] std::int64_t GlobalPoolValue() const { return ReadPoolWord(); }
 
  private:
-  struct ClientEntry {
-    ClientId id;
-    std::int64_t reservation;
-    std::int64_t limit;
-    rdma::QueuePair* ctrl_qp;
-    std::size_t slot;  // index into the report-slot array
-    std::uint32_t underuse_streak = 0;
-    // Report-lease state: raw slot bytes at the last check and the number
-    // of consecutive checks they stayed identical (the report seq field
-    // guarantees a live client changes them every report_interval).
-    std::uint64_t last_slot_raw = 0;
-    std::uint32_t lease_misses = 0;
-    // Slot bytes as primed at the period boundary; a slot equal to its
-    // prime has not received a real report this period.
-    std::uint64_t primed_slot_raw = 0;
-  };
+  // MonitorPort.
+  [[nodiscard]] SimTime Now() const override { return sim_.Now(); }
+  [[nodiscard]] std::uint64_t ReadSlot(std::size_t slot) const override;
+  void PrimeSlot(std::size_t slot, std::uint64_t packed) override;
+  PoolTouch SamplePool() override;
+  [[nodiscard]] std::int64_t ObservePool(std::int64_t sampled) override;
+  PoolTouch ExchangePool(std::int64_t value) override;
+  PoolTouch InstallPool(std::int64_t value) override;
+  void Deliver(Channel channel, ClientId client,
+               const ControlMsg& msg) override;
+  void Emit(obs::ActorKind kind, obs::EventType type, std::uint32_t period,
+            std::int64_t a, std::int64_t b, std::int64_t c) override;
 
-  static constexpr std::size_t kMaxClients = 64;
-
-  void StartPeriod();
-  void CaptureCheckpoint();
-  void CheckTick();
-  void RunControlBoundary();
-  void ActivateReporting(std::int64_t observed_pool);
-  void CheckLeases();
-  void DeclareDead(ClientId client);
-  void ConvertTokens();
-  void Calibrate();
-  [[nodiscard]] std::size_t AllocateSlot();
   [[nodiscard]] std::int64_t ReadPoolWord() const;
-  void WritePoolWord(std::int64_t value);
-  [[nodiscard]] std::uint64_t ReadSlot(std::size_t slot) const;
-  void WriteSlot(std::size_t slot, std::uint64_t value);
-  void SendToClient(ClientEntry& entry, const void* msg, std::size_t len);
-  [[nodiscard]] const ClientEntry* FindClient(ClientId client) const;
+  /// Writes the pool word and returns what it replaced, plus the grants
+  /// since the previous touch.
+  PoolTouch WritePoolWord(std::int64_t value);
+  void StartTimers();
 
   sim::Simulator& sim_;
-  QosConfig config_;
   rdma::Node& node_;
-  AdmissionController admission_;
-  std::unique_ptr<CapacityEstimator> estimator_;
+  bool running_ = false;
+  std::uint32_t trace_actor_ = 0;
 
   // Control block: word 0 = global pool, words 1..kMaxClients = report
   // slots. Lives in registered memory so clients reach it one-sided.
   std::vector<std::byte> control_block_;
   const rdma::MemoryRegion* control_mr_ = nullptr;
+  // The pool word as last written or read by the monitor; every decrease
+  // since is client grants (the word is local memory, so this is exact
+  // even when S1 observes through the loopback CAS).
+  std::int64_t last_pool_ = 0;
 
-  std::vector<ClientEntry> clients_;
-  std::size_t next_slot_ = 0;  // high-water mark of the slot array
-  // Slots of released/dead clients are quarantined until the next period
-  // boundary (any in-flight stale WRITE to them lands within the current
-  // period) and only then become reusable — without reuse, kMaxClients
-  // crash/restart cycles would exhaust the slot array for good.
-  std::vector<std::size_t> retired_slots_;
-  std::vector<std::size_t> free_slots_;
-  Stats stats_;
-  bool running_ = false;
-  std::uint32_t trace_actor_ = 0;
-  // Survivability state: the last provisioning checkpoint, whether the
-  // monitor is currently crashed, the clients that were live at crash time
-  // ("wreckage": id + slot — reconciled against the checkpoint on
-  // recovery), and a one-boundary latch that makes the first StartPeriod
-  // after recovery skip everything that assumes a period actually ran
-  // (ledger close, calibration, control boundary, slot recycling).
-  Checkpoint checkpoint_;
-  bool crashed_ = false;
-  bool recovered_pending_ = false;
-  std::vector<std::pair<ClientId, std::size_t>> wreckage_;
-  // Net cross-server borrow movement this period (absorbed - lent); token
-  // conversion adds it to the pool target so borrowing survives the next
-  // conversion overwrite. Reset at every period boundary.
-  std::int64_t borrow_credit_ = 0;
-  SimTime period_start_time_ = 0;
-  std::int64_t period_capacity_ = 0;
-  std::int64_t initial_pool_ = 0;
-  bool reporting_active_ = false;
-  // Grant tracking: the pool word only decreases between monitor writes
-  // (client FAAs), so (last written - observed) measures tokens handed out.
-  // Recent grants are not yet visible in client reports (reporting lag),
-  // and token conversion must not re-mint them.
-  std::int64_t last_written_pool_ = 0;
-  std::deque<std::int64_t> recent_grants_;
-  std::function<void(ClientId)> over_reserve_cb_;
-  std::function<void(ClientId)> client_dead_cb_;
-  PeriodHook period_hook_;
-  control::QosController* controller_ = nullptr;
-  std::function<void(ClientId)> readmit_cb_;
-  // Latched by a kForceConversion action: every subsequent period starts
-  // with reporting active instead of waiting for S2 (which can never fire
-  // when the initial pool is zero — the W6 starvation deadlock).
-  bool force_reporting_ = false;
-
-  // Token ledger bookkeeping: ledger_last_pool_ is the raw pool word at
-  // the monitor's last observation/write, so every decrease between
-  // samples is attributed to client grants exactly.
-  std::vector<PeriodLedger> ledger_;
-  std::int64_t ledger_last_pool_ = 0;
-  // Completion counts salvaged from clients that died mid-period; folded
-  // into Calibrate's total so capacity estimation does not see a phantom
-  // capacity drop.
-  std::int64_t dead_completed_this_period_ = 0;
-
-  // Loopback-CAS observation state (config_.loopback_cas).
+  // Loopback-CAS observation state (config.loopback_cas).
   rdma::QueuePair* loop_qp_ = nullptr;
   rdma::QueuePair* loop_peer_qp_ = nullptr;
   bool loop_cas_in_flight_ = false;

@@ -28,6 +28,7 @@
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "core/monitor_core.hpp"
 
 namespace haechi::runtime {
 
@@ -73,7 +74,8 @@ static_assert(sizeof(SeqlockSlot) == 64,
 
 class SharedRegion {
  public:
-  static constexpr std::size_t kMaxClients = 64;  // matches core::QosMonitor
+  /// One report slot per client the monitor can admit.
+  static constexpr std::size_t kMaxClients = core::MonitorCore::kMaxClients;
   static constexpr std::size_t kMaxShards = 16;
   static constexpr std::size_t kRecordBytes = 4096;
 

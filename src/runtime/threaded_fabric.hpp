@@ -1,14 +1,16 @@
 // The threaded runtime's stand-in for rdma::Fabric: the same one-sided op
 // surface the simulated verbs layer exposes (FAA on the pool word, silent
-// 8-byte report WRITE, 4 KB record READ, monitor-side loads/CAS), executed
-// directly against SharedRegion.
+// 8-byte report WRITE, 4 KB record READ), executed directly against
+// SharedRegion.
 //
 // Mapping to the simulated verbs surface:
 //   rdma::QueuePair::PostFetchAdd  -> PostFetchAdd   (inline completion;
 //                                     the returned word is wc.atomic_result)
 //   rdma::QueuePair::PostWrite     -> PostReportWrite (seqlock'd slot store)
 //   rdma::QueuePair::PostRead      -> PostRecordRead  (4 KB memcpy)
-//   monitor local load / CAS       -> LoadPool / CasPool / ExchangePool
+// The monitor owns the region the way the simulated monitor owns its
+// control block, so it loads, exchanges and CASes the pool words through
+// region() directly, with no NIC in between.
 //
 // Because the memory is genuinely shared, the async post/completion split
 // collapses: each post IS its completion, with the atomicity a real NIC
@@ -67,35 +69,9 @@ class ThreadedFabric {
     region_.ReadRecord(key, dst);
   }
 
-  // --- monitor-side ops ---------------------------------------------------
-
   [[nodiscard]] std::size_t shards() const { return region_.shards(); }
-  [[nodiscard]] std::int64_t LoadPool(std::size_t shard) const {
-    return region_.LoadPool(shard);
-  }
-  [[nodiscard]] std::int64_t LoadPoolSum() const {
-    return region_.LoadPoolSum();
-  }
-  std::int64_t ExchangePool(std::size_t shard, std::int64_t value) {
-    return region_.ExchangePool(shard, value);
-  }
-  bool CasPool(std::size_t shard, std::int64_t& expected,
-               std::int64_t desired) {
-    return region_.CasPool(shard, expected, desired);
-  }
-  /// Rebalance receiver side: the monitor tops a shard up without a
-  /// witness race (the return value witnesses the receiver's word).
-  std::int64_t AddPool(std::size_t shard, std::int64_t delta) {
-    return region_.FetchAddPool(shard, delta);
-  }
-  [[nodiscard]] SeqlockSlot::Snapshot ReadSlot(std::size_t slot) const {
-    return region_.slot(slot).Read();
-  }
   [[nodiscard]] std::uint64_t SlotWriteRetries(std::size_t slot) const {
     return region_.slot(slot).WriteRetries();
-  }
-  void PrimeSlot(std::size_t slot, std::uint64_t packed) {
-    region_.slot(slot).Write(packed, clock_.Now());
   }
 
   [[nodiscard]] PortStats stats(std::size_t port) const {

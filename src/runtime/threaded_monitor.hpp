@@ -1,34 +1,30 @@
-// The data-node QoS monitor on real threads (the concurrent-runtime port
-// of core::QosMonitor, paper §II-E).
+// The data-node QoS monitor on real threads (paper §II-E): the threaded
+// adapter around core::MonitorCore, which holds every protocol rule.
 //
-// Protocol logic is a faithful port of src/core/monitor.cpp — same period
-// sequencing (calibrate, close the ledger, re-provision, prime slots,
-// dispatch reservations), same S1–S3 check loop, same token-conversion
-// arithmetic and grant-lag correction, same report lease — re-hosted on a
-// wall Clock with two runtime::PeriodicTimer threads (period boundary and
-// check tick) that serialise on the monitor mutex. The differences forced
-// by real concurrency:
+// The adapter re-hosts the core on a wall Clock with two
+// runtime::PeriodicTimer threads (period boundary and check tick) that
+// serialise on one mutex, and realises the core's pool operations on the
+// shared region's K pool shards:
 //
-//   * the period boundary re-initialises the pool with an atomic
-//     *exchange*, so the old period's final word is read and the new
-//     period's pool installed in one step — a client FAA can land before
-//     or after the boundary but never be silently overwritten;
-//   * token conversion installs the new pool with a CAS loop that
+//   * the period boundary installs each shard's share of the new pool with
+//     an atomic *exchange*, so the old period's final word is read and the
+//     new pool installed in one step — a client FAA can land before or
+//     after the boundary but never be silently overwritten;
+//   * token conversion installs each share with a CAS loop that
 //     re-witnesses the pre-conversion word on every failure, so grants
 //     racing the conversion stay exactly accounted in the ledger;
+//   * after every check tick, lopsided shards are evened out (rebalance);
 //   * control messages are delivered to engines by direct call from the
 //     monitor thread (the two-sided SEND), never the other way around —
 //     engines only touch the shared region, so the lock order
 //     monitor-mutex -> engine-mutex is acyclic.
 //
-// The conservation identities of core::QosMonitor::PeriodLedger hold
-// *exactly* here too (raw-difference telescoping over atomic operations),
-// which is what tests/runtime_stress_test.cpp and the differential audit
-// lean on.
+// Per-shard raw-difference telescoping keeps the core's PeriodLedger
+// conservation identities *exact* here too, which is what
+// tests/runtime_stress_test.cpp and the differential audit lean on.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -36,12 +32,9 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "core/admission.hpp"
-#include "core/capacity_estimator.hpp"
 #include "core/config.hpp"
 #include "core/control/controller.hpp"
-#include "core/monitor.hpp"
-#include "core/wire.hpp"
+#include "core/monitor_core.hpp"
 #include "obs/trace.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/threaded_engine.hpp"
@@ -56,10 +49,12 @@ struct ThreadedWiring {
   std::size_t slot = 0;
 };
 
-class ThreadedMonitor {
+class ThreadedMonitor final : private core::MonitorPort,
+                              private core::MonitorCore {
  public:
-  using Stats = core::QosMonitor::Stats;
-  using PeriodLedger = core::QosMonitor::PeriodLedger;
+  using MonitorCore::PeriodHook;
+  using MonitorCore::PeriodLedger;
+  using MonitorCore::Stats;
 
   /// Threaded-runtime-only contention telemetry. Separate from Stats,
   /// which is shared with the sim monitor and compared field-for-field by
@@ -68,39 +63,11 @@ class ThreadedMonitor {
     std::uint64_t convert_cas_retries = 0;  // conversion CAS lost to a FAA
     std::uint64_t shard_samples = 0;        // kShardSample events emitted
   };
-  /// Epoch-stamped provisioning snapshot a restarted monitor recovers from
-  /// (DESIGN.md §15) — the threaded twin of core::QosMonitor::Checkpoint.
-  /// Conceptually lives in the registered control region (the
-  /// ThreadedFabric's shared memory), which is exactly what survives a
-  /// monitor *process* crash; the engine pointer stands in for the control
-  /// QP that outlives the monitor in the sim model.
-  struct Checkpoint {
-    struct Client {
-      ClientId id{};
-      std::int64_t reservation = 0;
-      std::int64_t limit = 0;
-      std::size_t slot = 0;
-      ThreadedEngine* engine = nullptr;
-    };
-    bool valid = false;
-    std::uint32_t epoch = 0;  // period the snapshot was taken at
-    std::int64_t reservation_sum = 0;
-    std::int64_t pool_word = 0;  // initial pool the epoch started with
-    std::int64_t capacity = 0;
-    std::vector<Client> clients;
-  };
-
-  using PeriodHook =
-      std::function<void(std::uint32_t, std::int64_t, std::int64_t)>;
-  /// (period, client, completed) for every fresh per-period client report
-  /// seen at calibration — the threaded run's per-client series source.
-  using ClientReportHook =
-      std::function<void(std::uint32_t, ClientId, std::int64_t)>;
 
   ThreadedMonitor(Clock& clock, obs::Recorder* recorder,
                   const core::QosConfig& config, ThreadedFabric& fabric,
                   double profiled_global_iops, double profiled_local_iops);
-  ~ThreadedMonitor();
+  ~ThreadedMonitor() override;
 
   ThreadedMonitor(const ThreadedMonitor&) = delete;
   ThreadedMonitor& operator=(const ThreadedMonitor&) = delete;
@@ -112,146 +79,68 @@ class ThreadedMonitor {
                                      std::int64_t limit);
   /// Binds the admitted client's engine for control-message delivery.
   Status BindEngine(ClientId client, ThreadedEngine* engine);
-  /// Removes a client and releases its reservation.
-  Status ReleaseClient(ClientId client);
-
-  /// Runtime reservation resize (the closed-loop controller's W1 action).
-  /// Validates against the client's limit and admission capacity, then
-  /// emits kReservationUpdate so the watchdog and audit re-baseline.
-  Status UpdateReservation(ClientId client, std::int64_t reservation);
 
   /// Wires the closed-loop controller (may be null to unwire). PlanBoundary
-  /// runs under the monitor mutex at each boundary, right after the period
-  /// verdicts settle through the recorder tap; `readmit` (optional) is
-  /// called for kReadmit actions and must defer the actual re-admission —
-  /// it runs on the monitor's timer thread holding mu_.
+  /// runs under the monitor mutex at each boundary; `readmit` (optional)
+  /// runs on the monitor's timer thread holding the mutex, so it must
+  /// defer the actual re-admission.
   void SetController(core::control::QosController* controller,
                      std::function<void(ClientId)> readmit);
+  void SetPeriodHook(PeriodHook fn);
 
   /// Starts period 1 immediately and runs until Stop().
   void Start();
   void Stop();
 
-  /// Control-plane survivability (DESIGN.md §15), mirroring
-  /// core::QosMonitor::Crash/Recover on wall-clock threads. Crash() models
-  /// the monitor process dying: timers disarm, the live client table is
-  /// lost (the shared region — pool shards, report slots — and the
-  /// in-region checkpoint survive). Recover() restarts it immediately (the
-  /// caller owns the outage duration): provisioning state is rebuilt from
-  /// the last checkpoint, reconciled against the live report slots, a
-  /// RecoverySync handshake is delivered to every restored engine, and a
-  /// fresh period is provisioned — without closing the crashed period's
-  /// ledger entry (it stays UNCLOSED; conservation identities skip it).
-  /// Must not be called after Stop().
+  /// Control-plane survivability (DESIGN.md §15) on wall-clock threads:
+  /// Crash() disarms the timers and drops the live client table (see
+  /// core::MonitorCore::Crash); Recover() restarts immediately from the
+  /// checkpoint (the caller owns the outage duration). Must not be called
+  /// after Stop().
   void Crash();
   void Recover();
-  [[nodiscard]] bool Crashed() const;
-  [[nodiscard]] Checkpoint CheckpointSnapshot() const;
 
   [[nodiscard]] Stats StatsSnapshot() const;
   [[nodiscard]] RuntimeStats RuntimeStatsSnapshot() const;
   [[nodiscard]] std::vector<PeriodLedger> LedgerSnapshot() const;
-  /// Sum over all pool shards (diagnostic; the ledger never uses it).
-  [[nodiscard]] std::int64_t GlobalPoolValue() const {
-    return fabric_.LoadPoolSum();
-  }
-  [[nodiscard]] std::int64_t PeriodCapacity() const;
-  [[nodiscard]] std::int64_t InitialPool() const;
-  [[nodiscard]] bool ReportingActive() const;
-  [[nodiscard]] const core::AdmissionController& admission() const {
-    return admission_;
-  }
-
-  void SetPeriodHook(PeriodHook fn);
-  void SetClientReportHook(ClientReportHook fn);
-  void SetOverReserveCallback(std::function<void(ClientId)> fn);
-  void SetClientDeadCallback(std::function<void(ClientId)> fn);
 
  private:
-  struct ClientEntry {
-    ClientId id;
-    std::int64_t reservation = 0;
-    std::int64_t limit = 0;
-    ThreadedEngine* engine = nullptr;
-    std::size_t slot = 0;
-    std::uint32_t underuse_streak = 0;
-    // Report-lease state: packed slot bytes at the last check and the
-    // number of consecutive checks they stayed identical.
-    std::uint64_t last_slot_raw = 0;
-    std::uint32_t lease_misses = 0;
-  };
+  // core::MonitorPort (called with mu_ held).
+  [[nodiscard]] SimTime Now() const override { return now_; }
+  [[nodiscard]] std::uint64_t ReadSlot(std::size_t slot) const override {
+    return region_.slot(slot).Read().packed;
+  }
+  void PrimeSlot(std::size_t slot, std::uint64_t packed) override {
+    region_.slot(slot).Write(packed, now_);
+  }
+  PoolTouch SamplePool() override;
+  PoolTouch ExchangePool(std::int64_t value) override;
+  PoolTouch InstallPool(std::int64_t value) override;
+  void Deliver(Channel channel, ClientId client,
+               const core::ControlMsg& msg) override;
+  void Emit(obs::ActorKind kind, obs::EventType type, std::uint32_t period,
+            std::int64_t a, std::int64_t b, std::int64_t c) override;
 
-  void PeriodTick();
-  void CheckTickFn();
-  void StartPeriodLocked(SimTime now);
-  void CaptureCheckpointLocked(SimTime now);
-  void CheckTickLocked(SimTime now);
-  void CheckLeasesLocked(SimTime now);
-  void DeclareDeadLocked(SimTime now, ClientId client);
-  void ConvertTokensLocked(SimTime now);
-  void RebalanceLocked(SimTime now);
-  void CalibrateLocked(SimTime now);
-  Status UpdateReservationLocked(SimTime now, ClientId client,
-                                 std::int64_t reservation);
-  void RunControlBoundaryLocked(SimTime now);
-  void ActivateReportingLocked(SimTime now, std::int64_t observed_pool);
+  /// Takes the mutex and latches the protocol time every core call of
+  /// this critical section sees.
+  std::unique_lock<std::mutex> Lock();
+  void RebalanceLocked();
   /// Shard `shard`'s share of `total` under the monitor's even split.
   [[nodiscard]] std::int64_t ShardShare(std::int64_t total,
                                         std::size_t shard) const;
-  Status ReleaseClientLocked(SimTime now, ClientId client);
-  [[nodiscard]] std::size_t AllocateSlotLocked();
-  ClientEntry* FindClientLocked(ClientId client);
-  void EmitLocked(SimTime now, obs::EventType type, std::int64_t a = 0,
-                  std::int64_t b = 0, std::int64_t c = 0);
 
   Clock& clock_;
   obs::Recorder* recorder_;
-  core::QosConfig config_;
-  ThreadedFabric& fabric_;
-  core::AdmissionController admission_;
-  std::unique_ptr<core::CapacityEstimator> estimator_;
+  SharedRegion& region_;  // the fabric's region: the monitor's own memory
 
   mutable std::mutex mu_;
-  std::vector<ClientEntry> clients_;
-  std::size_t next_slot_ = 0;
-  std::vector<std::size_t> retired_slots_;
-  std::vector<std::size_t> free_slots_;
-  Stats stats_;
-  RuntimeStats runtime_stats_;
+  SimTime now_ = 0;
   bool running_ = false;
-  // Survivability state (DESIGN.md §15).
-  bool crashed_ = false;
-  /// First boundary after Recover(): provision fresh state only — no
-  /// calibration, no ledger close, no controller boundary, no slot
-  /// recycling (retired slots have not sat out a full boundary yet).
-  bool recovered_pending_ = false;
-  Checkpoint checkpoint_;
-  /// (id, slot) of every client live at the crash; recovery reconciles
-  /// the checkpoint against it so departed clients are not resurrected
-  /// and post-checkpoint admissions are released.
-  std::vector<std::pair<ClientId, std::size_t>> wreckage_;
-  SimTime period_start_time_ = 0;
-  std::int64_t period_capacity_ = 0;
-  std::int64_t initial_pool_ = 0;
-  bool reporting_active_ = false;
-  std::int64_t last_written_pool_ = 0;
-  std::deque<std::int64_t> recent_grants_;
-  std::vector<PeriodLedger> ledger_;
+  RuntimeStats runtime_stats_;
   /// Per-shard last value the monitor wrote or witnessed; raw-difference
   /// telescoping against it keeps the ledger's `granted` exact on the
   /// shard sum across samples, conversions, rebalances and boundaries.
   std::vector<std::int64_t> shard_last_pool_;
-  std::int64_t dead_completed_this_period_ = 0;
-  core::control::QosController* controller_ = nullptr;
-  std::function<void(ClientId)> readmit_cb_;
-  /// Latched by the controller's kForceConversion action: activate
-  /// reporting at every period start instead of waiting for S2, which can
-  /// never fire when the initial pool is zero (the W6 deadlock).
-  bool force_reporting_ = false;
-  PeriodHook period_hook_;
-  ClientReportHook client_report_hook_;
-  std::function<void(ClientId)> over_reserve_cb_;
-  std::function<void(ClientId)> client_dead_cb_;
 
   std::unique_ptr<PeriodicTimer> period_timer_;
   std::unique_ptr<PeriodicTimer> check_timer_;

@@ -45,6 +45,17 @@
 #                                          # failover changes (tsan covers
 #                                          # the threaded Crash/Recover
 #                                          # races)
+#   tools/run_ctest_matrix.sh asan-monitor tsan-monitor
+#                                          # focused entries: the asan/tsan
+#                                          # presets restricted to the
+#                                          # monitor-labelled suites
+#                                          # (monitor_test,
+#                                          # monitor_core_test,
+#                                          # runtime_diff_test,
+#                                          # survivability_test,
+#                                          # controller_test) — the gate
+#                                          # for the shared monitor core
+#                                          # and its sim/threaded adapters
 #   tools/run_ctest_matrix.sh asan-sim      # focused entry: the asan
 #                                          # preset restricted to the
 #                                          # simulated I/O path (sim,
@@ -112,6 +123,12 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-survivability" ]]; then
     config_preset=tsan
     ctest_args=(-L survivability)
+  elif [[ "$preset" == "asan-monitor" ]]; then
+    config_preset=asan
+    ctest_args=(-L monitor)
+  elif [[ "$preset" == "tsan-monitor" ]]; then
+    config_preset=tsan
+    ctest_args=(-L monitor)
   elif [[ "$preset" == "asan-sim" ]]; then
     config_preset=asan
     ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.')
