@@ -48,7 +48,7 @@ struct QosConfig {
   /// Token-fetch chain length: one remote FAA draws
   /// token_batch * fetch_batch tokens, amortising the atomic (and, on a
   /// real NIC, the doorbell) over a chain of requests. 1 = the paper's
-  /// per-batch FAA. Threaded runtime only; the simulator ignores it.
+  /// per-batch FAA. Both backends honour it.
   std::int64_t fetch_batch = 1;
 
   /// Capacity-estimation increment eta (tokens/period). 0 = derive as

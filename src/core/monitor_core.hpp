@@ -40,7 +40,6 @@
 #include <functional>
 #include <memory>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/status.hpp"
@@ -53,10 +52,6 @@
 #include "obs/trace.hpp"
 
 namespace haechi::core {
-
-/// One monitor -> engine control message (wire.hpp).
-using ControlMsg = std::variant<PeriodStartMsg, ReportRequestMsg,
-                                OverReserveHintMsg, RecoverySyncMsg>;
 
 /// Everything MonitorCore needs from its transport. The pool is one logical
 /// signed word that clients only ever decrease (FAA draws) between monitor

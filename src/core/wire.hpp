@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <variant>
 
 #include "common/types.hpp"
 #include "rdma/verbs.hpp"
@@ -56,6 +57,10 @@ struct RecoverySyncMsg {
   CtrlType type = CtrlType::kRecoverySync;
   std::uint32_t period = 0;  // the monitor's restored epoch (informational)
 };
+
+/// One monitor -> engine control message.
+using ControlMsg = std::variant<PeriodStartMsg, ReportRequestMsg,
+                                OverReserveHintMsg, RecoverySyncMsg>;
 
 /// Packs the client's silent report into the 64-bit slot value:
 /// {period:12 | seq:8 | residual:22 | completed:22}.

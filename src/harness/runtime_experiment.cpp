@@ -99,6 +99,7 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
     std::size_t index = 0;
     std::uint32_t period = 0;     // period being worked; 0 = not started
     std::int64_t remaining = 0;   // demand left in `period`
+    bool reserved = false;        // may still hold reservation tokens
     bool active = true;
     std::uint64_t key_state = 0;
   };
@@ -121,6 +122,14 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
   std::size_t active_count = owned.size();
   while (active_count > 0) {
     bool progress = false;
+    // Reservation I/Os go first, the engine's grant order applied to the
+    // worker's time: while an owned client still draws reservation tokens,
+    // clients already on pool tokens wait, so a slow host eats into the
+    // pool share rather than into a reservation.
+    bool reservation_first = false;
+    for (const ClientState& st : owned) {
+      reservation_first |= st.active && st.reserved && st.remaining > 0;
+    }
     for (ClientState& st : owned) {
       if (!st.active) continue;
       runtime::ThreadedEngine& engine = *engines_[st.index];
@@ -151,12 +160,19 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
         if (p != 0 && p != st.period) {
           st.period = p;
           st.remaining = demand_of(st.index);
+          st.reserved = true;
           progress = true;
         }
       };
       if (st.period == 0 || st.remaining <= 0) {
         // Not started yet, or this period's demand is satisfied: check for
         // the next period without parking (the pool serves other clients).
+        advance_period();
+        continue;
+      }
+      if (reservation_first && !st.reserved) {
+        // Waiting behind reservation I/Os, but a new period (and with it a
+        // fresh reservation) is picked up at once.
         advance_period();
         continue;
       }
@@ -170,8 +186,12 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
           advance_period();
           break;
         case Grant::kNotReady:
-          break;  // throttled / empty pool / end guard: service siblings
+          // Throttled / empty pool / end guard: service siblings, and let
+          // them run even if this client still holds reservation tokens.
+          st.reserved = false;
+          break;
         case Grant::kToken: {
+          st.reserved = batch.from_reservation == batch.count;
           ++wstats.batches;
           wstats.ios += static_cast<std::uint64_t>(batch.count);
           for (std::int64_t k = 0; k < batch.count; ++k) {

@@ -76,10 +76,10 @@ struct EnginePeriod {
   std::int64_t faa_done = 0;
   std::int64_t faa_discard = 0;
   /// Tokens posted by done fetches that tagged their delta (c > 0 on
-  /// kTokenFetchDone — the threaded runtime's fetch-batched FAAs).
+  /// kTokenFetchDone, which every engine now writes).
   std::int64_t tokens_done = 0;
-  /// Done fetches with no per-event delta (sim traces): each drew the
-  /// kRunConfig token batch.
+  /// Done fetches with no per-event delta (sim traces written before the
+  /// engine core was shared): each drew the kRunConfig token batch.
   std::int64_t faa_done_untagged = 0;
   std::vector<std::int64_t> report_residuals;
 };

@@ -97,11 +97,12 @@ enum class EventType : std::uint16_t {
   kTokenDecay,              // a=surrendered tokens b=new bound X
   kTokenFetch,              // a=tokens posted per FAA (B, or B*fetch_batch)
                             // b=shard (threaded runtime)
-  kTokenFetchDone,          // a=pool value seen b=acquired c=tokens posted
-                            // (c=0 on sim traces: fall back to kRunConfig.b)
+  kTokenFetchDone,          // a=pool value seen b=acquired c=tokens posted,
+                            // always (c=0 only in traces older than the
+                            // shared engine core: use kRunConfig.b)
   kTokenFetchFail,          // a=backoff ns (post or completion failure)
-  kTokenDiscard,            // a=pool value seen b=would-be acquired (stale)
-                            // c=tokens posted (0: fall back to kRunConfig.b)
+  kTokenDiscard,            // a=pool value seen (stale period or degraded)
+                            // b=0 c=tokens posted, always (as above)
   kPoolEmpty,               // FAA returned nothing; retry armed (step T4)
                             // b=shard (threaded runtime)
   kReportWrite,             // a=residual claims b=completed c=seq

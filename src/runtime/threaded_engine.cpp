@@ -1,10 +1,6 @@
 #include "runtime/threaded_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/assert.hpp"
-#include "common/logging.hpp"
+#include <variant>
 
 namespace haechi::runtime {
 
@@ -17,354 +13,102 @@ ThreadedEngine::ThreadedEngine(Clock& clock, obs::Recorder* recorder,
                                ClientId id, const core::QosConfig& config,
                                ThreadedFabric& fabric, std::size_t port,
                                std::size_t slot)
-    : clock_(clock),
+    : core::EngineCore(static_cast<core::EnginePort&>(*this), id, config),
+      clock_(clock),
       recorder_(recorder),
-      id_(id),
-      config_(config),
       fabric_(fabric),
       port_(port),
       slot_(slot),
       shards_(fabric.shards()),
-      home_shard_(slot % fabric.shards()),
-      effective_batch_(config.token_batch *
-                       std::max<std::int64_t>(config.fetch_batch, 1)) {
+      home_shard_(slot % fabric.shards()) {
   token_timer_ = std::make_unique<PeriodicTimer>(
-      clock_, config_.token_tick, [this] { TokenTick(); });
+      clock_, config.token_tick, [this] { TokenTick(); });
   report_timer_ = std::make_unique<PeriodicTimer>(
-      clock_, config_.report_interval, [this] { ReportTick(); });
+      clock_, config.report_interval, [this] { ReportTick(); });
 }
 
 ThreadedEngine::~ThreadedEngine() { Stop(); }
 
-void ThreadedEngine::EmitLocked(SimTime now, EventType type,
-                                std::uint32_t period, std::int64_t a,
-                                std::int64_t b, std::int64_t c) {
+void ThreadedEngine::Emit(EventType type, std::uint32_t period,
+                          std::int64_t a, std::int64_t b, std::int64_t c) {
   if (recorder_ != nullptr) {
-    recorder_->EmitAt(now, ActorKind::kEngine, Raw(id_), type, period, a, b,
-                      c);
+    recorder_->EmitAt(clock_.Now(), ActorKind::kEngine, Raw(id()), type,
+                      period, a, b, c);
   }
 }
 
-void ThreadedEngine::DeliverPeriodStart(const core::PeriodStartMsg& msg) {
-  {
-    std::lock_guard lk(mu_);
-    if (stopped_) return;
-    const SimTime now = clock_.Now();
-    const bool resync = degraded_;
-    if (degraded_) {
-      // The monitor is back: re-sync onto its provisioning and leave
-      // reservation-only pacing. (No backlog to shed here — threaded
-      // workers pull tokens, there is no engine-side request queue, so
-      // kDegradedExit's b stays 0.)
-      degraded_ = false;
-      EmitLocked(now, EventType::kDegradedExit, period_,
-                 static_cast<std::int64_t>(degraded_count_), 0);
-      degraded_count_ = 0;
-    }
-    ++stats_.periods_started;
-    period_ = msg.period;
-    EmitLocked(now, EventType::kEnginePeriodStart, period_,
-               msg.reservation_tokens, msg.limit);
-    // Fresh reservation tokens *replace* leftovers (reservation and
-    // global) — tokens never carry across periods.
-    xi_reservation_ = msg.reservation_tokens;
-    last_provisioned_reservation_ = msg.reservation_tokens;
-    decay_x_ = static_cast<double>(msg.reservation_tokens);
-    decay_per_tick_ = static_cast<double>(msg.reservation_tokens) *
-                      static_cast<double>(config_.token_tick) /
-                      static_cast<double>(config_.period);
-    if (resync) {
-      // I/Os issued against the last synthetic degraded boundary are
-      // still in flight; the fresh grant replaces that synthetic split
-      // rather than stacking on top of it (same discount as the sim
-      // engine — without it the re-sync double-issues up to a full
-      // reservation and recovery becomes unbounded).
-      xi_reservation_ = std::max<std::int64_t>(
-          xi_reservation_ - backend_outstanding_, 0);
-      decay_x_ = static_cast<double>(xi_reservation_);
-    }
-    local_global_ = 0;
-    limit_ = msg.limit;
-    stats_.completed_this_period = 0;
-    stats_.issued_this_period = 0;
-    pool_retry_until_ = 0;
-    started_ = true;
-    period_started_at_ = now;
-    // Reporting stops until the monitor asks again this period.
-    reporting_ = false;
+Status ThreadedEngine::PostReport(std::uint64_t packed) {
+  // The seqlock write is a handful of stores; keeping it under the engine
+  // mutex keeps this thread's slot writes in report order.
+  fabric_.PostReportWrite(port_, slot_, packed);
+  return Status::Ok();
+}
+
+void ThreadedEngine::Deliver(const core::ControlMsg& msg) {
+  std::lock_guard lk(mu_);
+  if (const auto* start = std::get_if<core::PeriodStartMsg>(&msg)) {
+    if (EngineCore::Stopped()) return;  // torn down: workers have exited
+    PeriodStart(*start);
     report_timer_->Stop();
     token_timer_->Start();
+  } else if (std::holds_alternative<core::ReportRequestMsg>(msg)) {
+    if (ReportRequest()) report_timer_->Start();
+  } else if (std::holds_alternative<core::OverReserveHintMsg>(msg)) {
+    OverReserveHint();
+  } else {
+    RecoverySync();
   }
-  cv_.notify_all();
-}
-
-void ThreadedEngine::DeliverReportRequest() {
-  // Duplicate requests (half-lease retransmissions) are idempotent: an
-  // already-reporting engine keeps its cadence.
-  std::lock_guard lk(mu_);
-  if (stopped_ || !started_ || reporting_) return;
-  reporting_ = true;
-  WriteReportLocked(clock_.Now());  // first report goes out immediately
-  report_timer_->Start();
-}
-
-void ThreadedEngine::DeliverOverReserveHint() {
-  std::lock_guard lk(mu_);
-  ++stats_.over_reserve_hints;
-}
-
-void ThreadedEngine::DeliverRecoverySync() {
-  std::lock_guard lk(mu_);
-  if (stopped_ || !started_) return;
-  WriteReportLocked(clock_.Now());
 }
 
 void ThreadedEngine::Stop() {
-  {
-    std::lock_guard lk(mu_);
-    if (stopped_) return;
-    if (started_) {
-      EmitLocked(clock_.Now(), EventType::kEngineStop, period_);
-    }
-    started_ = false;
-    stopped_ = true;
-    degraded_ = false;
-    degraded_count_ = 0;
-    token_timer_->Stop();
-    report_timer_->Stop();
-  }
-  cv_.notify_all();
+  std::lock_guard lk(mu_);
+  if (EngineCore::Stopped()) return;
+  EngineCore::Stop();
+  token_timer_->Stop();
+  report_timer_->Stop();
 }
 
 void ThreadedEngine::TokenTick() {
-  bool rearmed = false;
-  {
-    std::lock_guard lk(mu_);
-    if (!started_ || stopped_) return;
-    // Degraded-mode detection and synthetic boundaries (DESIGN.md §15).
-    // The grace window strictly exceeds one period (config contract), so
-    // a healthy run — where every tick sees now - period_started_at_ <=
-    // period plus scheduling jitter — never trips this.
-    if (config_.degraded_grace_permille > 0) {
-      const SimTime now = clock_.Now();
-      const SimDuration since = now - period_started_at_;
-      if (!degraded_) {
-        const SimDuration grace =
-            config_.period / 1000 * config_.degraded_grace_permille;
-        if (since >= grace) {
-          EnterDegradedLocked(now, grace);
-          rearmed = true;
-        }
-      } else if (since >= config_.period &&
-                 degraded_count_ < config_.degraded_max_periods) {
-        DegradedPeriodLocked(now);
-        rearmed = true;
-      }
-    }
-    decay_x_ = std::max(0.0, decay_x_ - decay_per_tick_);
-    const auto bound = static_cast<std::int64_t>(std::floor(decay_x_));
-    // Insufficient demand: surrender reservation tokens above the backlog
-    // bound X (reclaimed by the monitor's token conversion once reported).
-    if (xi_reservation_ > bound) {
-      EmitLocked(clock_.Now(), EventType::kTokenDecay, period_,
-                 xi_reservation_ - bound, bound);
-      xi_reservation_ = bound;
-    }
-  }
-  // A synthetic boundary re-armed the reservation: wake workers parked in
-  // AcquireToken so reservation-only pacing resumes immediately.
-  if (rearmed) cv_.notify_all();
-}
-
-void ThreadedEngine::EnterDegradedLocked(SimTime now, SimDuration grace) {
-  degraded_ = true;
-  degraded_count_ = 0;
-  ++stats_.degraded_entries;
-  HAECHI_LOG_WARN(
-      "engine %u: monitor silent for %lld ns; entering reservation-only "
-      "degraded mode",
-      Raw(id_), static_cast<long long>(grace));
-  EmitLocked(now, EventType::kDegradedEnter, period_,
-             last_provisioned_reservation_, grace);
-  DegradedPeriodLocked(now);
-}
-
-void ThreadedEngine::DegradedPeriodLocked(SimTime now) {
-  // One synthetic reservation-only boundary: re-arm the last provisioned
-  // split and keep pacing on the real period cadence. Global tokens are
-  // never carried or fetched — the pool belongs to the (dead) monitor.
-  ++degraded_count_;
-  ++stats_.degraded_periods;
-  period_started_at_ += config_.period;
-  xi_reservation_ = last_provisioned_reservation_;
-  decay_x_ = static_cast<double>(last_provisioned_reservation_);
-  local_global_ = 0;
-  stats_.issued_this_period = 0;
-  pool_retry_until_ = 0;
-  EmitLocked(now, EventType::kDegradedPeriod, period_, xi_reservation_,
-             static_cast<std::int64_t>(degraded_count_));
+  std::lock_guard lk(mu_);
+  TickDegraded();
+  Decay();
 }
 
 void ThreadedEngine::ReportTick() {
   std::lock_guard lk(mu_);
-  if (!started_ || stopped_ || !reporting_) return;
-  WriteReportLocked(clock_.Now());
-}
-
-void ThreadedEngine::WriteReportLocked(SimTime now) {
-  // Residual = the client's outstanding *claim* on the rest of the period:
-  // unconsumed reservation tokens, locally-held global tokens, and issued
-  // but uncompleted I/Os (same claims accounting as the sim engine).
-  const std::int64_t claims =
-      xi_reservation_ + local_global_ + backend_outstanding_;
-  const std::uint64_t packed = core::PackReport(
-      period_, static_cast<std::uint64_t>(std::max<std::int64_t>(claims, 0)),
-      static_cast<std::uint64_t>(
-          std::max<std::int64_t>(stats_.completed_this_period, 0)),
-      report_seq_++);
-  ++stats_.report_writes;
-  EmitLocked(now, EventType::kReportWrite, period_,
-             static_cast<std::int64_t>(core::ReportResidual(packed)),
-             static_cast<std::int64_t>(core::ReportCompleted(packed)),
-             static_cast<std::int64_t>(stats_.report_writes));
-  // The seqlock write is a handful of stores; keeping it under the engine
-  // mutex keeps this thread's slot writes in report order.
-  fabric_.PostReportWrite(port_, slot_, packed);
-}
-
-std::int64_t ThreadedEngine::TakeLocalLocked(std::int64_t want) {
-  std::int64_t granted = 0;
-  std::int64_t from_reservation = 0;
-  if (want > 0 && xi_reservation_ > 0) {
-    const std::int64_t n = std::min(want, xi_reservation_);
-    xi_reservation_ -= n;
-    stats_.tokens_from_reservation += n;
-    from_reservation = n;
-    granted += n;
-    want -= n;
-  }
-  if (want > 0 && local_global_ > 0) {
-    const std::int64_t n = std::min(want, local_global_);
-    local_global_ -= n;
-    stats_.tokens_from_pool += n;
-    granted += n;
-  }
-  if (granted > 0) {
-    stats_.issued_this_period += granted;
-    backend_outstanding_ += granted;
-    if (recorder_ != nullptr && recorder_->detail()) {
-      // Span triplet, threads flavour: grant and issue are the same instant
-      // (workers pull tokens; there is no engine-side request queue), so
-      // kIoQueued and kIoIssue share a timestamp. Sim and threads traces
-      // then agree on stage *structure* while the client-side stages are
-      // ~0 here and the real durations live in nic_service.
-      const SimTime now = clock_.Now();
-      for (std::int64_t k = 0; k < granted; ++k) {
-        const std::uint64_t io_id = next_io_id_++;
-        const std::int64_t source = k < from_reservation ? 0 : 1;
-        EmitLocked(now, EventType::kIoQueued, period_,
-                   static_cast<std::int64_t>(io_id), 0);
-        EmitLocked(now, EventType::kIoIssue, period_,
-                   static_cast<std::int64_t>(io_id), source, 0);
-        outstanding_io_ids_.push_back(io_id);
-        ++runtime_stats_.span_ios;
-      }
-    }
-  }
-  return granted;
+  EngineCore::ReportTick();
 }
 
 void ThreadedEngine::FetchPoolRoundLocked(std::unique_lock<std::mutex>& lk) {
-  // One batched remote FAA per shard, home shard first — the chain draws
-  // effective_batch_ = token_batch * fetch_batch tokens per atomic, the
-  // doorbell-batching cost model on a real NIC. The lock drops around each
-  // FAA so the monitor's control deliveries never wait behind the fetch.
-  const std::int64_t delta = effective_batch_;
+  // One batched remote FAA per shard, home shard first — each draws
+  // token_batch * fetch_batch tokens, the doorbell-batching cost model on
+  // a real NIC. The lock drops around each FAA so the monitor's control
+  // deliveries never wait behind the fetch.
   for (std::size_t probe = 0; probe < shards_; ++probe) {
-    if (stopped_ || !started_) return;
-    const std::size_t shard = (home_shard_ + probe) % shards_;
-    ++stats_.faa_ops;
-    EmitLocked(clock_.Now(), EventType::kTokenFetch, period_, delta,
-               static_cast<std::int64_t>(shard));
-    const std::uint32_t at_period = period_;
+    if (!Started()) return;
+    const auto shard = static_cast<std::int64_t>((home_shard_ + probe) %
+                                                 shards_);
+    Fetch(shard);  // the threaded port never fails a post
     lk.unlock();
-    const std::int64_t before = fabric_.PostFetchAdd(port_, shard, -delta);
+    const std::int64_t before = fabric_.PostFetchAdd(
+        port_, static_cast<std::size_t>(shard), -FetchDelta());
     lk.lock();
-    const SimTime done = clock_.Now();
-    if (stopped_) return;
-    if (period_ != at_period || degraded_) {
-      // The pool was re-initialised for a new period while the fetch ran
-      // (or the engine went degraded mid-fetch and may not keep pool
-      // tokens); either way the tokens are discarded.
-      EmitLocked(done, EventType::kTokenDiscard, at_period, before, 0, delta);
-      return;
+    // A stopped engine is gone for good; the fetched tokens die with it.
+    if (EngineCore::Stopped()) return;
+    switch (OnFetchResult(before, shard, /*waiting=*/true)) {
+      case FetchOutcome::kDiscarded:
+        return;
+      case FetchOutcome::kAcquired:
+        if (probe == 0) {
+          ++runtime_stats_.faa_home_hits;
+        } else {
+          ++runtime_stats_.faa_steals;
+        }
+        return;
+      case FetchOutcome::kPoolEmpty:
+        ++runtime_stats_.faa_dry_probes;
+        break;
     }
-    const std::int64_t acquired = std::clamp<std::int64_t>(before, 0, delta);
-    local_global_ += acquired;
-    EmitLocked(done, EventType::kTokenFetchDone, period_, before, acquired,
-               delta);
-    if (acquired > 0) {
-      if (probe == 0) {
-        ++runtime_stats_.faa_home_hits;
-      } else {
-        ++runtime_stats_.faa_steals;
-      }
-      return;
-    }
-    ++runtime_stats_.faa_dry_probes;
-    EmitLocked(done, EventType::kPoolEmpty, period_, before,
-               static_cast<std::int64_t>(shard));
-  }
-  // Every shard came up empty: step T4's retry cadence.
-  pool_retry_until_ = clock_.Now() + config_.pool_retry_interval;
-}
-
-ThreadedEngine::Grant ThreadedEngine::AcquireToken(std::uint32_t p) {
-  std::unique_lock lk(mu_);
-  for (;;) {
-    if (stopped_) return Grant::kStopped;
-    if (!started_ || period_ != p) return Grant::kPeriodOver;
-    if (limit_ > 0 && stats_.issued_this_period >= limit_) {
-      ++stats_.limit_throttle_events;
-      ++waiters_;
-      cv_.wait(lk);  // throttled until the next period's delivery
-      --waiters_;
-      continue;
-    }
-    if (backend_outstanding_ >=
-        static_cast<std::int64_t>(config_.max_backend_outstanding)) {
-      ++waiters_;
-      cv_.wait(lk);
-      --waiters_;
-      continue;
-    }
-    if (TakeLocalLocked(1) > 0) return Grant::kToken;
-    if (degraded_) {
-      // Reservation-only pacing: never fetch while degraded — the pool
-      // belongs to the (silent) monitor and a recovered monitor
-      // re-initialises it. Park until a synthetic boundary re-arms the
-      // split or a real period start re-syncs us.
-      ++waiters_;
-      cv_.wait_for(lk, std::chrono::nanoseconds(config_.token_tick));
-      --waiters_;
-      continue;
-    }
-    const SimTime now = clock_.Now();
-    // No fetch near the period end: a batch grabbed while the monitor
-    // rolls the period over would be discarded (faa_end_guard).
-    if (now - period_started_at_ >= config_.period - config_.faa_end_guard) {
-      ++waiters_;
-      cv_.wait_for(lk, std::chrono::nanoseconds(config_.faa_end_guard));
-      --waiters_;
-      continue;
-    }
-    if (now < pool_retry_until_) {  // step T4 retry cadence
-      ++waiters_;
-      cv_.wait_for(lk, std::chrono::nanoseconds(pool_retry_until_ - now));
-      --waiters_;
-      continue;
-    }
-    FetchPoolRoundLocked(lk);
   }
 }
 
@@ -372,32 +116,35 @@ ThreadedEngine::Batch ThreadedEngine::TryAcquireBatch(
     std::uint32_t p, std::int64_t max_tokens) {
   std::unique_lock lk(mu_);
   for (;;) {
-    if (stopped_) return {Grant::kStopped, 0};
-    if (!started_ || period_ != p) return {Grant::kPeriodOver, 0};
-    std::int64_t want = std::max<std::int64_t>(max_tokens, 0);
-    if (limit_ > 0) {
-      const std::int64_t left = limit_ - stats_.issued_this_period;
-      if (left <= 0) {
-        ++stats_.limit_throttle_events;
-        return {Grant::kNotReady, 0};
+    if (EngineCore::Stopped()) return {Grant::kStopped, 0};
+    if (!Started() || EngineCore::CurrentPeriod() != p) {
+      return {Grant::kPeriodOver, 0};
+    }
+    const Take take = TakeTokens(max_tokens);
+    if (take.tokens > 0) {
+      if (recorder_ != nullptr && recorder_->detail()) {
+        // Span triplet, threads flavour: grant and issue are the same
+        // instant (workers pull tokens; there is no engine-side request
+        // queue), so kIoQueued and kIoIssue share a timestamp. Sim and
+        // threads traces then agree on stage *structure* while the
+        // client-side stages are ~0 here and the real durations live in
+        // nic_service.
+        const SimTime now = clock_.Now();
+        for (std::int64_t k = 0; k < take.tokens; ++k) {
+          const std::uint64_t io_id = next_io_id_++;
+          const std::int64_t source = k < take.from_reservation ? 0 : 1;
+          recorder_->EmitAt(now, ActorKind::kEngine, Raw(id()),
+                            EventType::kIoQueued, p,
+                            static_cast<std::int64_t>(io_id), 0);
+          recorder_->EmitAt(now, ActorKind::kEngine, Raw(id()),
+                            EventType::kIoIssue, p,
+                            static_cast<std::int64_t>(io_id), source, 0);
+          ++runtime_stats_.span_ios;
+        }
       }
-      want = std::min(want, left);
+      return {Grant::kToken, take.tokens, take.from_reservation};
     }
-    const std::int64_t backend_room =
-        static_cast<std::int64_t>(config_.max_backend_outstanding) -
-        backend_outstanding_;
-    if (backend_room <= 0) return {Grant::kNotReady, 0};
-    want = std::min(want, backend_room);
-    if (want <= 0) return {Grant::kNotReady, 0};
-    const std::int64_t granted = TakeLocalLocked(want);
-    if (granted > 0) return {Grant::kToken, granted};
-    // No FAA while degraded (reservation-only pacing; see AcquireToken).
-    if (degraded_) return {Grant::kNotReady, 0};
-    const SimTime now = clock_.Now();
-    if (now - period_started_at_ >= config_.period - config_.faa_end_guard) {
-      return {Grant::kNotReady, 0};
-    }
-    if (now < pool_retry_until_) return {Grant::kNotReady, 0};
+    if (!take.dry || !FetchDue(clock_.Now())) return {Grant::kNotReady, 0};
     FetchPoolRoundLocked(lk);
     // Loop: re-evaluate with whatever the round brought home (it may also
     // have observed a stop or a period roll).
@@ -405,50 +152,28 @@ ThreadedEngine::Batch ThreadedEngine::TryAcquireBatch(
 }
 
 void ThreadedEngine::OnIoCompleted(std::int64_t n) {
-  bool notify;
-  {
-    std::lock_guard lk(mu_);
-    backend_outstanding_ -= n;
-    stats_.completed_this_period += n;
-    stats_.completed_total += n;
-    if (!outstanding_io_ids_.empty() && recorder_ != nullptr &&
-        recorder_->detail()) {
-      // Close the n oldest spans (grants complete FIFO per engine).
-      const SimTime now = clock_.Now();
-      std::int64_t out = backend_outstanding_ + n;
-      for (std::int64_t k = 0; k < n && !outstanding_io_ids_.empty(); ++k) {
-        const std::uint64_t io_id = outstanding_io_ids_.front();
-        outstanding_io_ids_.pop_front();
-        EmitLocked(now, EventType::kIoComplete, period_,
-                   static_cast<std::int64_t>(io_id), --out);
-      }
-    }
-    notify = waiters_ > 0;
+  std::lock_guard lk(mu_);
+  std::int64_t out = OnCompleted(n) + n;
+  if (recorder_ == nullptr || !recorder_->detail()) return;
+  // Close the n oldest spans. Every grant took the next id and grants
+  // complete FIFO per engine, so the `out` outstanding I/Os hold the ids
+  // just below next_io_id_.
+  const SimTime now = clock_.Now();
+  for (std::int64_t k = 0; k < n; ++k, --out) {
+    recorder_->EmitAt(now, ActorKind::kEngine, Raw(id()),
+                      EventType::kIoComplete, EngineCore::CurrentPeriod(),
+                      static_cast<std::int64_t>(next_io_id_) - out, out - 1);
   }
-  if (notify) cv_.notify_all();
-}
-
-std::uint32_t ThreadedEngine::AwaitPeriodAfter(std::uint32_t p) {
-  std::unique_lock lk(mu_);
-  ++waiters_;
-  cv_.wait(lk, [&] { return stopped_ || (started_ && period_ > p); });
-  --waiters_;
-  return stopped_ ? 0 : period_;
 }
 
 bool ThreadedEngine::Stopped() const {
   std::lock_guard lk(mu_);
-  return stopped_;
-}
-
-bool ThreadedEngine::Degraded() const {
-  std::lock_guard lk(mu_);
-  return degraded_;
+  return EngineCore::Stopped();
 }
 
 ThreadedEngine::Stats ThreadedEngine::StatsSnapshot() const {
   std::lock_guard lk(mu_);
-  return stats_;
+  return stats();
 }
 
 ThreadedEngine::RuntimeStats ThreadedEngine::RuntimeStatsSnapshot() const {
@@ -458,7 +183,7 @@ ThreadedEngine::RuntimeStats ThreadedEngine::RuntimeStatsSnapshot() const {
 
 std::uint32_t ThreadedEngine::CurrentPeriod() const {
   std::lock_guard lk(mu_);
-  return period_;
+  return EngineCore::CurrentPeriod();
 }
 
 }  // namespace haechi::runtime

@@ -1,33 +1,20 @@
-// The client-side QoS engine on real threads (the concurrent-runtime port
-// of core::ClientQosEngine, paper §II-D).
-//
-// Protocol logic is a faithful port of src/core/engine.cpp — same token
-// priority (reservation, then locally-held global tokens, then a batched
-// remote FAA), same decay arithmetic, same report wire format and claims
-// accounting, same faa_end_guard and pool-retry cadence — re-hosted on:
-//
-//   * a wall Clock instead of the simulator clock;
-//   * runtime::PeriodicTimer threads for token decay and reporting;
-//   * the monitor's thread delivering control messages by direct call
-//     (the two-sided SEND landing in the ctrl CQ);
-//   * the client's worker thread pulling tokens through AcquireToken() and
-//     executing the FAA *inline* — so N clients genuinely contend on the
-//     shared pool word, which is the point of this backend.
-//
-// All mutable state sits behind one mutex; every trace event is emitted
-// under it with a timestamp captured under it (per-actor streams must stay
-// time-ordered and seq-dense for the audit's A1).
+// The client-side QoS engine on real threads (paper §II-D): the threaded
+// adapter around core::EngineCore, which holds every protocol rule. It adds
+// the transport: one mutex serialising the core (every trace event is
+// emitted under it, so per-actor streams stay time-ordered for the audit's
+// A1), wall timers, control messages delivered by direct call from the
+// monitor thread, and TryAcquireBatch — the worker pulls tokens and runs
+// the batched FAA inline, home shard first, with the lock dropped around
+// each fetch_add, so N clients genuinely contend on the shared pool words.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 
 #include "common/types.hpp"
 #include "core/config.hpp"
-#include "core/engine.hpp"
+#include "core/engine_core.hpp"
 #include "core/wire.hpp"
 #include "obs/trace.hpp"
 #include "runtime/clock.hpp"
@@ -35,11 +22,12 @@
 
 namespace haechi::runtime {
 
-class ThreadedEngine {
+class ThreadedEngine final : private core::EnginePort,
+                             private core::EngineCore {
  public:
-  /// Reuses the sim engine's stats struct so differential tests compare
-  /// like with like.
-  using Stats = core::ClientQosEngine::Stats;
+  /// The sim engine's stats struct, so differential tests compare like
+  /// with like.
+  using Stats = core::EngineCore::Stats;
 
   /// Threaded-runtime-only shard-contention telemetry. Kept separate from
   /// Stats (shared with the sim engine and diffed field-for-field by the
@@ -51,53 +39,43 @@ class ThreadedEngine {
     std::uint64_t span_ios = 0;        // detail span triplets emitted
   };
 
-  /// What AcquireToken's blocking wait (or TryAcquireBatch's poll) ended
-  /// with.
+  /// What a TryAcquireBatch poll ended with.
   enum class Grant {
     kToken,       // token(s) consumed; caller owns that many issued I/Os
     kPeriodOver,  // the requested period ended
     kStopped,     // engine stopped; worker should exit
-    kNotReady,    // TryAcquireBatch only: nothing grantable right now
-                  // (limit throttle, backend full, end guard, empty pool)
+    kNotReady,    // nothing grantable right now (limit throttle, backend
+                  // full, end guard, empty pool)
   };
 
   /// TryAcquireBatch's result: on kToken, `count` tokens were granted and
   /// the caller must perform exactly that many I/Os and report them via
-  /// OnIoCompleted(count).
+  /// OnIoCompleted(count). The first `from_reservation` of them were
+  /// reservation tokens, the rest fetched pool tokens.
   struct Batch {
     Grant status = Grant::kNotReady;
     std::int64_t count = 0;
+    std::int64_t from_reservation = 0;
   };
 
   /// `port`/`slot` come from the monitor's admission (ThreadedWiring).
   ThreadedEngine(Clock& clock, obs::Recorder* recorder, ClientId id,
                  const core::QosConfig& config, ThreadedFabric& fabric,
                  std::size_t port, std::size_t slot);
-  ~ThreadedEngine();
+  ~ThreadedEngine() override;
 
   ThreadedEngine(const ThreadedEngine&) = delete;
   ThreadedEngine& operator=(const ThreadedEngine&) = delete;
 
-  // --- control plane (called from the monitor thread) ---------------------
-  void DeliverPeriodStart(const core::PeriodStartMsg& msg);
-  void DeliverReportRequest();
-  void DeliverOverReserveHint();
-  /// Post-restart handshake (DESIGN.md §15): prove liveness with an
-  /// immediate report write. Not a period boundary — a degraded engine
-  /// stays degraded until the first real DeliverPeriodStart re-syncs it.
-  void DeliverRecoverySync();
+  /// One control message, by direct call from the monitor thread (the
+  /// two-sided SEND landing in the ctrl CQ).
+  void Deliver(const core::ControlMsg& msg);
 
-  /// Quiesces the engine; pending AcquireToken/AwaitPeriodAfter calls
-  /// return kStopped/0.
+  /// Tears the engine down for good: later deliveries are dropped and
+  /// TryAcquireBatch returns kStopped.
   void Stop();
 
   // --- worker side --------------------------------------------------------
-
-  /// Blocks until a token for period `p` is granted, the period rolls
-  /// over (a limit-throttled worker parks here until then), or Stop().
-  /// On kToken the caller must perform exactly one I/O and then call
-  /// OnIoCompleted().
-  Grant AcquireToken(std::uint32_t p);
 
   /// Non-blocking multi-token acquisition for the worker-pool event loop:
   /// grants up to `max_tokens` from the reservation / locally-held global
@@ -110,86 +88,44 @@ class ThreadedEngine {
   void OnIoCompleted(std::int64_t n = 1);
 
   [[nodiscard]] bool Stopped() const;
-
-  /// True while the engine is in reservation-only degraded mode (the
-  /// monitor lease went silent; DESIGN.md §15).
-  [[nodiscard]] bool Degraded() const;
-
-  /// Blocks until the current period exceeds `p` (returns it) or the
-  /// engine stops (returns 0).
-  std::uint32_t AwaitPeriodAfter(std::uint32_t p);
-
-  [[nodiscard]] ClientId id() const { return id_; }
   [[nodiscard]] Stats StatsSnapshot() const;
   [[nodiscard]] RuntimeStats RuntimeStatsSnapshot() const;
   [[nodiscard]] std::uint32_t CurrentPeriod() const;
 
  private:
+  // EnginePort. The fetch itself runs in FetchPoolRoundLocked, after the
+  // core has booked it and with the lock dropped, so PostFetch only
+  // acknowledges it.
+  [[nodiscard]] SimTime Now() const override { return clock_.Now(); }
+  Status PostFetch(std::int64_t /*delta*/) override { return Status::Ok(); }
+  Status PostReport(std::uint64_t packed) override;
+  /// Workers pull tokens: there is no engine-side request queue to shed.
+  std::int64_t ShedQueued(std::size_t /*keep*/) override { return 0; }
+  void Emit(obs::EventType type, std::uint32_t period, std::int64_t a,
+            std::int64_t b, std::int64_t c) override;
+
   void TokenTick();
-  /// Monitor lease went silent past the grace window: fall back to
-  /// reservation-only pacing from the last provisioned split.
-  void EnterDegradedLocked(SimTime now, SimDuration grace);
-  /// One synthetic reservation-only boundary on the real period cadence.
-  void DegradedPeriodLocked(SimTime now);
   void ReportTick();
-  void WriteReportLocked(SimTime now);
-  /// Takes up to `want` tokens from reservation-then-local-global stock;
-  /// returns the number granted and books them as issued/outstanding.
-  std::int64_t TakeLocalLocked(std::int64_t want);
   /// One probe round of batched remote FAAs (home shard first, then the
   /// other shards, one FAA each); drops `lk` around each FAA and returns
-  /// with it held. Tokens land in local_global_; an all-empty round arms
-  /// pool_retry_until_.
+  /// with it held. Tokens land in the core's local stock; an all-empty
+  /// round leaves the core's pool-retry deadline armed.
   void FetchPoolRoundLocked(std::unique_lock<std::mutex>& lk);
-  void EmitLocked(SimTime now, obs::EventType type, std::uint32_t period,
-                  std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0);
 
   Clock& clock_;
   obs::Recorder* recorder_;
-  ClientId id_;
-  core::QosConfig config_;
   ThreadedFabric& fabric_;
   std::size_t port_;
   std::size_t slot_;
   std::size_t shards_;
   std::size_t home_shard_;
-  /// Tokens drawn per remote FAA: token_batch * fetch_batch.
-  std::int64_t effective_batch_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  /// Blocked AcquireToken/AwaitPeriodAfter callers; OnIoCompleted skips
-  /// the notify when nobody waits (the worker-pool hot path never does).
-  std::size_t waiters_ = 0;
-
-  // Token state (paper's xi_reservation, X, local batch of global tokens).
-  std::int64_t xi_reservation_ = 0;
-  double decay_x_ = 0.0;
-  double decay_per_tick_ = 0.0;
-  std::int64_t local_global_ = 0;
-  std::int64_t limit_ = 0;  // <=0: unlimited
-  std::uint32_t period_ = 0;
-  bool started_ = false;
-  bool stopped_ = false;
-  SimTime period_started_at_ = 0;
-  // Degraded-mode state (DESIGN.md §15): reservation-only pacing while the
-  // monitor lease is silent, bounded by degraded_max_periods synthetic
-  // boundaries from the last provisioned split.
-  bool degraded_ = false;
-  std::uint32_t degraded_count_ = 0;
-  std::int64_t last_provisioned_reservation_ = 0;
-  /// After an empty-pool FAA, no re-fetch before this instant (step T4).
-  SimTime pool_retry_until_ = 0;
-  bool reporting_ = false;
-  std::uint8_t report_seq_ = 0;
-  std::int64_t backend_outstanding_ = 0;
-  Stats stats_;
   RuntimeStats runtime_stats_;
-  // Per-IO span support (detail traces only): ids are assigned at grant and
-  // completed FIFO — workers issue granted I/Os in order, so the oldest
-  // outstanding id completes first.
+  // Per-IO span ids (detail traces only), dense in grant order. Workers
+  // issue granted I/Os in order, so the oldest outstanding id completes
+  // first.
   std::uint64_t next_io_id_ = 0;
-  std::deque<std::uint64_t> outstanding_io_ids_;
 
   std::unique_ptr<PeriodicTimer> token_timer_;
   std::unique_ptr<PeriodicTimer> report_timer_;

@@ -51,16 +51,7 @@ void ThreadedMonitor::Emit(obs::ActorKind kind, obs::EventType type,
 
 void ThreadedMonitor::Deliver(Channel channel, ClientId /*client*/,
                               const core::ControlMsg& msg) {
-  auto* engine = static_cast<ThreadedEngine*>(channel);
-  if (const auto* start = std::get_if<core::PeriodStartMsg>(&msg)) {
-    engine->DeliverPeriodStart(*start);
-  } else if (std::holds_alternative<core::ReportRequestMsg>(msg)) {
-    engine->DeliverReportRequest();
-  } else if (std::holds_alternative<core::OverReserveHintMsg>(msg)) {
-    engine->DeliverOverReserveHint();
-  } else {
-    engine->DeliverRecoverySync();
-  }
+  static_cast<ThreadedEngine*>(channel)->Deliver(msg);
 }
 
 core::MonitorPort::PoolTouch ThreadedMonitor::SamplePool() {

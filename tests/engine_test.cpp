@@ -265,6 +265,24 @@ TEST_F(EngineTest, ReportsCarryPeriodTagAndClaims) {
   EXPECT_FALSE(engine_->Reporting());
 }
 
+TEST_F(EngineTest, StoppedEngineIgnoresReportRequest) {
+  SendPeriodStart(1, /*tokens=*/50);
+  SendReportRequest(1);
+  sim_.RunUntil(Millis(3));
+  ASSERT_TRUE(engine_->Reporting());
+  engine_->Stop();
+  EXPECT_FALSE(engine_->Reporting());
+  const std::uint64_t writes = engine_->stats().report_writes;
+  // The controller's re-admit path stops an engine while its ctrl QP stays
+  // connected. A late ReportRequest must not restart the report cadence:
+  // the stray writes would land in a slot that is quarantined and later
+  // handed to another client.
+  SendReportRequest(1);
+  sim_.RunUntil(Millis(22));
+  EXPECT_FALSE(engine_->Reporting());
+  EXPECT_EQ(engine_->stats().report_writes, writes);
+}
+
 TEST_F(EngineTest, IdleTokensDecayLinearly) {
   SendPeriodStart(1, /*tokens=*/1000);
   sim_.RunUntil(Millis(1) + Millis(500));  // half the period

@@ -46,8 +46,8 @@ flags (all optional):
   --shards=K                 threads only: split the global token pool
                              across K cache-line shards (monitor
                              rebalances them on its check tick)         [1]
-  --fetch-batch=B            threads only: one remote FAA draws B token
-                             batches (doorbell-style chaining)          [1]
+  --fetch-batch=B            one remote FAA draws B token batches
+                             (doorbell-style chaining)                  [1]
   --workers=N                threads only: worker threads multiplexing
                              the client I/O loops (0 = one per client)  [0]
   --cluster=D                sharded deployment across D data nodes with
@@ -426,6 +426,12 @@ int Run(int argc, const char* const* argv) {
   const auto FromSeconds = [](double sec) {
     return static_cast<SimTime>(sec * 1e9);
   };
+  const std::int64_t fetch_batch = flags.GetInt("fetch-batch", 1);
+  if (fetch_batch < 1) {
+    std::fprintf(stderr, "--fetch-batch must be >= 1\n");
+    return 2;
+  }
+  config.qos.fetch_batch = fetch_batch;
   if (cluster_nodes > 0) {
     if (flags.GetString("runtime", "sim") != "sim" ||
         config.mode != harness::Mode::kHaechi) {
@@ -641,23 +647,19 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
   const std::int64_t shards = flags.GetInt("shards", 1);
-  const std::int64_t fetch_batch = flags.GetInt("fetch-batch", 1);
   const std::int64_t workers = flags.GetInt("workers", 0);
-  if (runtime != "threads" &&
-      (shards != 1 || fetch_batch != 1 || workers != 0)) {
-    std::fprintf(stderr,
-                 "--shards/--fetch-batch/--workers require "
-                 "--runtime=threads\n");
+  // Pool shards and worker threads are transport knobs of the threaded
+  // backend; the simulator models one remote pool word.
+  if (runtime != "threads" && (shards != 1 || workers != 0)) {
+    std::fprintf(stderr, "--shards/--workers require --runtime=threads\n");
     return 2;
   }
   if (runtime == "threads") {
-    if (shards < 1 || fetch_batch < 1 || workers < 0) {
-      std::fprintf(stderr,
-                   "--shards and --fetch-batch must be >= 1, --workers >= 0\n");
+    if (shards < 1 || workers < 0) {
+      std::fprintf(stderr, "--shards must be >= 1, --workers >= 0\n");
       return 2;
     }
     config.qos.pool_shards = shards;
-    config.qos.fetch_batch = fetch_batch;
     config.runtime_workers = static_cast<std::size_t>(workers);
     if (config.mode == harness::Mode::kBare) {
       std::fprintf(stderr,

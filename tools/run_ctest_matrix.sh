@@ -56,6 +56,19 @@
 #                                          # controller_test) — the gate
 #                                          # for the shared monitor core
 #                                          # and its sim/threaded adapters
+#   tools/run_ctest_matrix.sh asan-engine tsan-engine
+#                                          # focused entries: the asan/tsan
+#                                          # presets restricted to the
+#                                          # engine-labelled suites
+#                                          # (engine_test,
+#                                          # engine_core_test,
+#                                          # resilience_test,
+#                                          # runtime_diff_test,
+#                                          # runtime_property_test,
+#                                          # survivability_test) — the
+#                                          # gate for the shared engine
+#                                          # core and its sim/threaded
+#                                          # adapters
 #   tools/run_ctest_matrix.sh asan-sim      # focused entry: the asan
 #                                          # preset restricted to the
 #                                          # simulated I/O path (sim,
@@ -129,6 +142,12 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-monitor" ]]; then
     config_preset=tsan
     ctest_args=(-L monitor)
+  elif [[ "$preset" == "asan-engine" ]]; then
+    config_preset=asan
+    ctest_args=(-L engine)
+  elif [[ "$preset" == "tsan-engine" ]]; then
+    config_preset=tsan
+    ctest_args=(-L engine)
   elif [[ "$preset" == "asan-sim" ]]; then
     config_preset=asan
     ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.')
