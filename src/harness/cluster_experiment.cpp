@@ -1,16 +1,15 @@
 #include "harness/cluster_experiment.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "obs/export.hpp"
 
 namespace haechi::harness {
 
 ClusterExperiment::ClusterExperiment(ClusterExperimentConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      plane_(config_.trace, config_.watchdog, config_.control, &sim_) {
   HAECHI_EXPECTS(config_.data_nodes >= 1);
   HAECHI_EXPECTS(!config_.tenants.empty());
   HAECHI_EXPECTS(!config_.clients.empty());
@@ -79,49 +78,33 @@ void ClusterExperiment::Build() {
     monitor->SetPeriodHook([this, d, monitor, prefix](
                                std::uint32_t period, std::int64_t completions,
                                std::int64_t estimate) {
-      if (d == 0) {
-        // Scripted control-api swaps land on node 0's boundary callback, so
-        // the same boundary's PlanBoundary already sees the new policy.
-        while (control_api_next_ < config_.control.api.size() &&
-               config_.control.api[control_api_next_].first <= period) {
-          const auto swap = config_.control.api[control_api_next_++];
-          if (controller_ != nullptr) {
-            controller_->SetPolicy(swap.second);
-            HAECHI_TRACE_EVENT(
-                obs::ActorKind::kHarness, 0,
-                obs::EventType::kControllerConfig, period,
-                static_cast<std::int64_t>(swap.second),
-                static_cast<std::int64_t>(controller_->config().rules),
-                static_cast<std::int64_t>(
-                    controller_->config().quiet_periods));
-          }
-        }
-      }
-      metrics_.Add(prefix + "completions", completions);
-      metrics_.Set(prefix + "capacity_estimate",
-                   static_cast<double>(estimate));
-      metrics_.Set(prefix + "initial_pool",
+      // Scripted control-api swaps land on node 0's boundary callback.
+      if (d == 0) plane_.ApplySwaps(period);
+      obs::MetricsRegistry& registry = metrics();
+      registry.Add(prefix + "completions", completions);
+      registry.Set(prefix + "capacity_estimate", static_cast<double>(estimate));
+      registry.Set(prefix + "initial_pool",
                    static_cast<double>(monitor->InitialPool()));
-      metrics_.Set(prefix + "reclaimed_tokens",
+      registry.Set(prefix + "reclaimed_tokens",
                    static_cast<double>(monitor->stats().reclaimed_tokens));
       if (d + 1 == config_.data_nodes) {
         const auto& cstats = coordinator_->stats();
         const auto& ledger = coordinator_->borrow_ledger();
-        metrics_.Set("cluster.borrow_granted",
+        registry.Set("cluster.borrow_granted",
                      static_cast<double>(ledger.TotalGranted()));
-        metrics_.Set("cluster.borrow_repaid",
+        registry.Set("cluster.borrow_repaid",
                      static_cast<double>(ledger.TotalRepaid()));
-        metrics_.Set("cluster.borrow_outstanding",
+        registry.Set("cluster.borrow_outstanding",
                      static_cast<double>(ledger.TotalOutstanding()));
-        metrics_.Set("cluster.borrow_requests",
+        registry.Set("cluster.borrow_requests",
                      static_cast<double>(cstats.borrow_requests));
-        metrics_.Set("cluster.stale_reports",
+        registry.Set("cluster.stale_reports",
                      static_cast<double>(cstats.stale_reports));
-        metrics_.Set("cluster.rebalances",
+        registry.Set("cluster.rebalances",
                      static_cast<double>(cstats.rebalances));
-        metrics_.Set("cluster.tokens_moved",
+        registry.Set("cluster.tokens_moved",
                      static_cast<double>(cstats.tokens_moved));
-        metrics_.SnapshotPeriod(period);
+        plane_.Snapshot(period);
       }
     });
   }
@@ -135,23 +118,11 @@ void ClusterExperiment::Build() {
                        admission.LocalCapacity());
   }
 
-  if (controller_ != nullptr) {
-    for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-      const ClusterClientSpec& spec = config_.clients[i];
-      std::int64_t demand = 0;
-      for (const auto per_node : spec.demand_per_node) demand += per_node;
-      controller_->SetClientSpec(static_cast<std::uint32_t>(i),
-                                 spec.reservation, spec.limit, demand);
-      const auto cls = config_.control.classes.find(i);
-      if (cls != config_.control.classes.end()) {
-        controller_->SetClientClass(static_cast<std::uint32_t>(i),
-                                    cls->second);
-      }
-    }
+  if (controller() != nullptr) {
     // Node 0 hosts the control boundary (the watchdog follows node 0's
     // pool in cluster mode); no readmit path — the coordinator's purge
     // machinery owns cluster-wide client death.
-    monitors_[0]->SetController(controller_.get(), nullptr);
+    monitors_[0]->SetController(controller(), nullptr);
   }
 
   for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
@@ -255,7 +226,7 @@ void ClusterExperiment::Build() {
               workload::DemandGenerator::CompleteFn cb) {
             const auto node = static_cast<std::uint32_t>(d);
             auto counted = [this, client_id, node, cb](bool measured) {
-              if (measured && measuring_) {
+              if (measured && plane_.measuring()) {
                 result_->node_series[node].Add(client_id, 1);
               }
               cb();
@@ -289,96 +260,23 @@ ClusterExperimentResult ClusterExperiment::Run() {
     result_->node_series.emplace_back(config_.clients.size());
   }
 
-  bool want_recorder =
-      config_.trace.enabled || !config_.trace.out_path.empty();
-#if HAECHI_WATCHDOG_ENABLED
-  const bool want_watchdog = config_.watchdog.enabled ||
-                             !config_.watchdog.alerts_out.empty() ||
-                             config_.watchdog.status_interval > 0 ||
-                             config_.control.armed();
-  want_recorder = want_recorder || want_watchdog;
-#endif
-  if (want_recorder) {
-    obs::Recorder::Options trace_options;
-    trace_options.ring_capacity = config_.trace.ring_capacity;
-    trace_options.detail = config_.trace.detail;
-    recorder_ = std::make_unique<obs::Recorder>(sim_, trace_options);
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (want_watchdog) {
-    obs::WatchdogOptions wd_options;
-    wd_options.guarantee_fraction = config_.watchdog.guarantee_fraction;
-    watchdog_ = std::make_unique<obs::SloWatchdog>(wd_options);
-    alerts_sink_ =
-        std::make_unique<obs::JsonlAlertSink>(config_.watchdog.alerts_out);
-    watchdog_->AddSink(alerts_sink_.get());
-    if (config_.watchdog.status_interval > 0) {
-      auto status_fn = config_.watchdog.status_fn;
-      if (!status_fn) {
-        status_fn = [](const obs::PeriodStatus& status) {
-          std::fprintf(stderr, "%s\n",
-                       obs::FormatStatusLine(status).c_str());
-        };
-      }
-      watchdog_->SetStatusFn(std::move(status_fn),
-                             config_.watchdog.status_interval);
-    }
-    if (config_.control.armed()) {
-      controller_ = std::make_unique<core::control::QosController>(
-          config_.control.ToControllerConfig());
-      watchdog_->AddSink(controller_.get());
-      std::stable_sort(config_.control.api.begin(), config_.control.api.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-    }
-    recorder_->SetTap(
-        [this](const obs::TraceEvent& event) { watchdog_->OnEvent(event); });
-  }
-#endif
-  if (recorder_ != nullptr) {
-    // Same truncation contract as the single-node harness: the first ring
-    // overwrite raises one watchdog alert (or a log line) and the dropped
-    // total is harvested into trace.dropped_events below.
-    recorder_->SetDropNotify([this] {
-#if HAECHI_WATCHDOG_ENABLED
-      if (watchdog_ != nullptr) {
-        watchdog_->NotifyTruncation(sim_.Now());
-        return;
-      }
-#endif
-      HAECHI_LOG_WARN(
-          "cluster experiment: trace ring wrapped; any export of this run "
-          "is truncated");
-    });
-  }
-  obs::ScopedRecorder trace_scope(recorder_.get());
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0, obs::EventType::kRunConfig,
-                     0, config_.qos.period, config_.qos.token_batch,
-                     static_cast<std::int64_t>(config_.measure_periods));
+  obs::ScopedRecorder trace_scope(plane_.recorder());
+  plane_.EmitRunConfig(config_.qos, config_.measure_periods);
   // The cluster-shape header must precede every monitor/cluster event: the
   // audit and watchdog switch into cluster mode when they see it.
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kClusterConfig, 0,
-                     static_cast<std::uint64_t>(config_.data_nodes),
-                     static_cast<std::uint64_t>(config_.tenants.size()),
-                     static_cast<std::uint64_t>(config_.cluster.borrow.policy));
-  for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-    [[maybe_unused]] const ClusterClientSpec& spec = config_.clients[i];
-    [[maybe_unused]] std::int64_t demand = 0;
-    for (const auto per_node : spec.demand_per_node) demand += per_node;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(i),
-                       obs::EventType::kClientSpec, 0, spec.reservation,
-                       spec.limit, demand);
+  plane_.Emit(obs::EventType::kClusterConfig, 0,
+              static_cast<std::int64_t>(config_.data_nodes),
+              static_cast<std::int64_t>(config_.tenants.size()),
+              static_cast<std::int64_t>(config_.cluster.borrow.policy));
+  // The header and the controller see each client's cluster-wide demand.
+  std::vector<ClientSpec> specs;
+  for (const ClusterClientSpec& spec : config_.clients) {
+    ClientSpec& flat = specs.emplace_back();
+    flat.reservation = spec.reservation;
+    flat.limit = spec.limit;
+    for (const auto per_node : spec.demand_per_node) flat.demand += per_node;
   }
-  if (controller_ != nullptr) {
-    HAECHI_TRACE_EVENT(
-        obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig, 0,
-        static_cast<std::int64_t>(controller_->policy()),
-        static_cast<std::int64_t>(controller_->config().rules),
-        static_cast<std::int64_t>(controller_->config().quiet_periods));
-  }
+  plane_.DeclareClients(specs);
 
   Build();
 
@@ -413,31 +311,14 @@ ClusterExperimentResult ClusterExperiment::Run() {
     sim_.ScheduleAt(config_.failover_at, [this] { coordinator_->FailOver(); });
   }
 
-  sim_.ScheduleAt(config_.warmup, [this] {
-    measuring_ = true;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                       obs::EventType::kMeasureStart, 0);
-    for (auto& series : result_->node_series) series.BeginPeriod();
-    measured_periods_ = 1;
-    measure_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.qos.period, [this] {
-          if (measured_periods_ >= config_.measure_periods) {
-            measuring_ = false;
-            measure_timer_->Stop();
-            return;
-          }
-          for (auto& series : result_->node_series) series.BeginPeriod();
-          ++measured_periods_;
-        });
-    measure_timer_->Start();
-  });
+  plane_.StartMeasureWindow(config_.warmup, config_.qos.period,
+                            config_.measure_periods, result_->node_series);
 
   const SimTime end =
       config_.warmup +
       static_cast<SimTime>(config_.measure_periods) * config_.qos.period;
   sim_.RunUntil(end);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kMeasureEnd, 0);
+  plane_.Emit(obs::EventType::kMeasureEnd, 0);
 
   std::int64_t total = 0;
   for (const auto& series : result_->node_series) total += series.Total();
@@ -464,10 +345,8 @@ ClusterExperimentResult ClusterExperiment::Run() {
     for (const auto& engine : per_client) row.push_back(engine->stats());
   }
 
-  // End-of-run registry rollups: how well each node's share of the final
-  // reservation split was actually used, the cluster borrow flow, and the
-  // recorder's loss accounting.
-  metrics_.Set("run.total_kiops", result_->total_kiops);
+  // End-of-run rollups: how well each node's share of the final
+  // reservation split was actually used, and the cluster borrow flow.
   for (std::size_t d = 0; d < config_.data_nodes; ++d) {
     std::int64_t split_sum = 0;
     for (const auto& split : result_->final_split) {
@@ -475,81 +354,26 @@ ClusterExperimentResult ClusterExperiment::Run() {
     }
     const std::int64_t completed = result_->node_series[d].Total();
     const std::string prefix = "node." + std::to_string(d) + ".";
-    metrics_.Set(prefix + "split_reservation",
-                 static_cast<double>(split_sum));
-    metrics_.Add(prefix + "completed_total", completed);
+    plane_.SetRollup(prefix + "split_reservation",
+                     static_cast<double>(split_sum));
+    plane_.AddRollup(prefix + "completed_total", completed);
     const double reserved_total =
         static_cast<double>(split_sum) *
         static_cast<double>(config_.measure_periods);
-    metrics_.Set(prefix + "split_utilization",
-                 reserved_total > 0.0
-                     ? static_cast<double>(completed) / reserved_total
-                     : 0.0);
+    plane_.SetRollup(prefix + "split_utilization",
+                     reserved_total > 0.0
+                         ? static_cast<double>(completed) / reserved_total
+                         : 0.0);
   }
-  metrics_.Add("cluster.borrowed_tokens_total", result_->borrow_granted);
-  metrics_.Add("cluster.repaid_tokens_total", result_->borrow_repaid);
-  metrics_.Add("cluster.stale_reports_total",
-               static_cast<std::int64_t>(result_->cluster_stats.stale_reports));
-  metrics_.Add("cluster.dead_clients",
-               static_cast<std::int64_t>(result_->cluster_stats.dead_clients));
-  if (recorder_ != nullptr) {
-    metrics_.Add("trace.emitted_events",
-                 static_cast<std::int64_t>(recorder_->TotalEmitted()));
-    metrics_.Add("trace.dropped_events",
-                 static_cast<std::int64_t>(recorder_->TotalDropped()));
-  }
-
-  if (recorder_ != nullptr && !config_.trace.out_path.empty()) {
-    const Status exported =
-        obs::ExportTraceFile(*recorder_, config_.trace.out_path);
-    if (exported.ok()) {
-      HAECHI_LOG_INFO("cluster experiment: exported %llu trace events to %s",
-                      static_cast<unsigned long long>(
-                          recorder_->TotalEmitted()),
-                      config_.trace.out_path.c_str());
-    } else {
-      HAECHI_LOG_WARN("cluster experiment: trace export failed: %s",
-                      exported.ToString().c_str());
-    }
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (watchdog_ != nullptr) {
-    const Status flushed = watchdog_->Finish();
-    if (!flushed.ok()) {
-      HAECHI_LOG_WARN("cluster experiment: alert sink flush failed: %s",
-                      flushed.ToString().c_str());
-    }
-    metrics_.Add("watchdog.alerts",
-                 static_cast<std::int64_t>(watchdog_->alerts().size()));
-    metrics_.Add("watchdog.critical",
-                 static_cast<std::int64_t>(
-                     watchdog_->CountAtLeast(obs::AlertSeverity::kCritical)));
-  }
-#endif
-  if (!config_.trace.metrics_out.empty()) {
-    const Status written =
-        metrics_.ToCsv().WriteFile(config_.trace.metrics_out);
-    if (!written.ok()) {
-      HAECHI_LOG_WARN("cluster experiment: metrics export failed: %s",
-                      written.ToString().c_str());
-    }
-  }
-  if (!config_.trace.prom_out.empty()) {
-    const std::string exposition = metrics_.ToPrometheus();
-    std::FILE* file = std::fopen(config_.trace.prom_out.c_str(), "wb");
-    if (file == nullptr) {
-      HAECHI_LOG_WARN("cluster experiment: cannot open prom file: %s",
-                      config_.trace.prom_out.c_str());
-    } else {
-      const std::size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), file);
-      const int closed = std::fclose(file);
-      if (written != exposition.size() || closed != 0) {
-        HAECHI_LOG_WARN("cluster experiment: short write to prom file: %s",
-                        config_.trace.prom_out.c_str());
-      }
-    }
-  }
+  plane_.AddRollup("cluster.borrowed_tokens_total", result_->borrow_granted);
+  plane_.AddRollup("cluster.repaid_tokens_total", result_->borrow_repaid);
+  plane_.AddRollup(
+      "cluster.stale_reports_total",
+      static_cast<std::int64_t>(result_->cluster_stats.stale_reports));
+  plane_.AddRollup(
+      "cluster.dead_clients",
+      static_cast<std::int64_t>(result_->cluster_stats.dead_clients));
+  plane_.Finish(result_->total_kiops);
 
   coordinator_->Stop();
   for (auto& monitor : monitors_) monitor->Stop();

@@ -19,6 +19,7 @@
 #include "core/engine.hpp"
 #include "core/monitor.hpp"
 #include "harness/experiment.hpp"
+#include "harness/run_plane.hpp"
 #include "kvstore/client.hpp"
 #include "kvstore/server.hpp"
 #include "net/model_params.hpp"
@@ -137,19 +138,17 @@ class ClusterExperiment {
   [[nodiscard]] const ClusterExperimentConfig& config() const {
     return config_;
   }
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
-  /// Cluster-wide metrics view: per-node completions/capacity/pool plus the
-  /// coordinator's borrow and rebalance flow, snapshotted once per QoS
-  /// period (after the last node's period boundary) — what `--metrics-out`
-  /// and `--prom-out` persist in cluster mode.
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
+  // The run plane's parts (see RunPlane). Metrics are per-node
+  // completions/capacity/pool plus the coordinator's borrow and rebalance
+  // flow, snapshotted after the last node's period boundary.
+  [[nodiscard]] obs::Recorder* recorder() { return plane_.recorder(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return plane_.metrics(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return plane_.watchdog(); }
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return plane_.controller();
   }
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return plane_.alerts_jsonl();
   }
 
  private:
@@ -158,6 +157,8 @@ class ClusterExperiment {
 
   ClusterExperimentConfig config_;
   sim::Simulator sim_;
+  // After the simulator its recorder and measurement timer use.
+  RunPlane plane_;
   std::unique_ptr<rdma::Fabric> fabric_;
   std::vector<std::unique_ptr<kvstore::KvServer>> servers_;
   std::vector<std::unique_ptr<core::QosMonitor>> monitors_;
@@ -169,15 +170,6 @@ class ClusterExperiment {
   std::vector<std::vector<std::unique_ptr<workload::DemandGenerator>>>
       generators_;
   std::unique_ptr<ClusterExperimentResult> result_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  std::size_t control_api_next_ = 0;
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<sim::PeriodicTimer> measure_timer_;
-  std::size_t measured_periods_ = 0;
-  bool measuring_ = false;
 };
 
 }  // namespace haechi::harness

@@ -1,13 +1,11 @@
 #include "harness/experiment.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "obs/export.hpp"
 
 namespace haechi::harness {
 
@@ -24,7 +22,8 @@ std::vector<ClientSpec> UniformClients(std::size_t n, std::int64_t reservation,
 }
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      plane_(config_.trace, config_.watchdog, config_.control, &sim_) {
   HAECHI_EXPECTS(!config_.clients.empty());
   HAECHI_EXPECTS(config_.measure_periods > 0);
   if (config_.io_path == IoPath::kTwoSided) {
@@ -45,7 +44,9 @@ std::span<const std::byte> Experiment::WriteValue() {
 
 void Experiment::CountServed(ClientId client,
                              const kvstore::KvClient::Completion& completion) {
-  if (completion.status.ok() && measuring_) result_->series.Add(client, 1);
+  if (completion.status.ok() && plane_.measuring()) {
+    result_->series.Add(client, 1);
+  }
 }
 
 void Experiment::BuildCluster() {
@@ -73,45 +74,16 @@ void Experiment::BuildCluster() {
     monitor_->SetPeriodHook([this](std::uint32_t period,
                                    std::int64_t completions,
                                    std::int64_t estimate) {
-      // Scripted control-api swaps land on the boundary callback, so the
-      // same boundary's PlanBoundary already sees the new policy.
-      while (control_api_next_ < config_.control.api.size() &&
-             config_.control.api[control_api_next_].first <= period) {
-        const auto swap = config_.control.api[control_api_next_++];
-        if (controller_ != nullptr) {
-          controller_->SetPolicy(swap.second);
-          HAECHI_TRACE_EVENT(
-              obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig,
-              period, static_cast<std::int64_t>(swap.second),
-              static_cast<std::int64_t>(controller_->config().rules),
-              static_cast<std::int64_t>(controller_->config().quiet_periods));
-        }
-      }
-      result_->capacity_trace.push_back({period, completions, estimate});
-      // One metrics snapshot per QoS period: the registry's long-format
-      // CSV carries the same per-period trajectory the figures plot.
-      metrics_.Add("monitor.completions", completions);
-      metrics_.Set("monitor.capacity_estimate",
-                   static_cast<double>(estimate));
-      metrics_.Set("monitor.initial_pool",
-                   static_cast<double>(monitor_->InitialPool()));
-      metrics_.Set("monitor.reclaimed_tokens",
-                   static_cast<double>(monitor_->stats().reclaimed_tokens));
-      metrics_.Record("monitor.period_completions", completions);
-      metrics_.SnapshotPeriod(period);
+      plane_.OnBoundary(period, completions, estimate);
+      metrics().Set("monitor.initial_pool",
+                    static_cast<double>(monitor_->InitialPool()));
+      metrics().Set("monitor.reclaimed_tokens",
+                    static_cast<double>(monitor_->stats().reclaimed_tokens));
+      metrics().Record("monitor.period_completions", completions);
+      plane_.Snapshot(period);
     });
-    if (controller_ != nullptr) {
-      for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-        const ClientSpec& spec = config_.clients[i];
-        controller_->SetClientSpec(static_cast<std::uint32_t>(i),
-                                   spec.reservation, spec.limit, spec.demand);
-        const auto cls = config_.control.classes.find(i);
-        if (cls != config_.control.classes.end()) {
-          controller_->SetClientClass(static_cast<std::uint32_t>(i),
-                                      cls->second);
-        }
-      }
-      monitor_->SetController(controller_.get(), [this](ClientId client) {
+    if (controller() != nullptr) {
+      monitor_->SetController(controller(), [this](ClientId client) {
         ReadmitClient(static_cast<std::size_t>(Raw(client)));
       });
     }
@@ -399,110 +371,13 @@ void Experiment::BuildBackground(std::size_t index) {
 }
 
 ExperimentResult Experiment::Run() {
-  result_ = std::make_unique<ExperimentResult>(ExperimentResult{
-      stats::PeriodSeries(config_.clients.size()),
-      {},
-      stats::Histogram(),
-      0.0,
-      {},
-      {},
-      {},
-      0,
-      {},
-      {},
-      {}});
+  result_ = std::make_unique<ExperimentResult>(config_.clients.size());
 
-  // The flight recorder spans cluster build (admission events) through the
-  // final period boundary; it is installed process-wide so instrumentation
-  // deep in core/rdma/kvstore reaches it without plumbing.
-  bool want_recorder =
-      config_.trace.enabled || !config_.trace.out_path.empty();
-#if HAECHI_WATCHDOG_ENABLED
-  // Arming the watchdog forces a recorder: the watchdog is a tap on the
-  // event stream, and sees nothing without one. An armed controller in
-  // turn forces the watchdog — it feeds on the live alert stream.
-  const bool want_watchdog = config_.watchdog.enabled ||
-                             !config_.watchdog.alerts_out.empty() ||
-                             config_.watchdog.status_interval > 0 ||
-                             config_.control.armed();
-  want_recorder = want_recorder || want_watchdog;
-#endif
-  if (want_recorder) {
-    obs::Recorder::Options trace_options;
-    trace_options.ring_capacity = config_.trace.ring_capacity;
-    trace_options.detail = config_.trace.detail;
-    recorder_ = std::make_unique<obs::Recorder>(sim_, trace_options);
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (want_watchdog) {
-    obs::WatchdogOptions wd_options;
-    wd_options.guarantee_fraction = config_.watchdog.guarantee_fraction;
-    watchdog_ = std::make_unique<obs::SloWatchdog>(wd_options);
-    // The JSONL sink always exists when armed (empty path = buffer only),
-    // so tests can compare the byte-exact alert document without a file.
-    alerts_sink_ =
-        std::make_unique<obs::JsonlAlertSink>(config_.watchdog.alerts_out);
-    watchdog_->AddSink(alerts_sink_.get());
-    if (config_.watchdog.status_interval > 0) {
-      auto status_fn = config_.watchdog.status_fn;
-      if (!status_fn) {
-        status_fn = [](const obs::PeriodStatus& status) {
-          std::fprintf(stderr, "%s\n",
-                       obs::FormatStatusLine(status).c_str());
-        };
-      }
-      watchdog_->SetStatusFn(std::move(status_fn),
-                             config_.watchdog.status_interval);
-    }
-    if (config_.control.armed()) {
-      controller_ = std::make_unique<core::control::QosController>(
-          config_.control.ToControllerConfig());
-      watchdog_->AddSink(controller_.get());
-      std::stable_sort(config_.control.api.begin(), config_.control.api.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-    }
-    // Installed before the first harness event below: the watchdog's view
-    // must start at kRunConfig or its period-length inference runs blind.
-    recorder_->SetTap(
-        [this](const obs::TraceEvent& event) { watchdog_->OnEvent(event); });
-  }
-#endif
-  if (recorder_ != nullptr) {
-    // Ring truncation is never silent: the first overwrite raises a one-shot
-    // watchdog alert (when armed) or at least a log line; the cumulative
-    // trace.dropped_events counter is harvested below either way.
-    recorder_->SetDropNotify([this] {
-#if HAECHI_WATCHDOG_ENABLED
-      if (watchdog_ != nullptr) {
-        watchdog_->NotifyTruncation(sim_.Now());
-        return;
-      }
-#endif
-      HAECHI_LOG_WARN(
-          "experiment: trace ring wrapped; any export of this run is "
-          "truncated");
-    });
-  }
-  obs::ScopedRecorder trace_scope(recorder_.get());
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0, obs::EventType::kRunConfig,
-                     0, config_.qos.period, config_.qos.token_batch,
-                     static_cast<std::int64_t>(config_.measure_periods));
-  for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-    [[maybe_unused]] const ClientSpec& spec = config_.clients[i];
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(i),
-                       obs::EventType::kClientSpec, 0, spec.reservation,
-                       spec.limit, spec.demand);
-  }
-  if (controller_ != nullptr) {
-    HAECHI_TRACE_EVENT(
-        obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig, 0,
-        static_cast<std::int64_t>(controller_->policy()),
-        static_cast<std::int64_t>(controller_->config().rules),
-        static_cast<std::int64_t>(controller_->config().quiet_periods));
-  }
+  // The plane's recorder is installed process-wide so instrumentation deep
+  // in core/rdma/kvstore reaches it without plumbing.
+  obs::ScopedRecorder trace_scope(plane_.recorder());
+  plane_.EmitRunConfig(config_.qos, config_.measure_periods);
+  plane_.DeclareClients(config_.clients);
 
   BuildCluster();
 
@@ -517,31 +392,15 @@ ExperimentResult Experiment::Run() {
 
   // Measurement window bookkeeping: one PeriodSeries row per QoS period
   // after warm-up.
-  sim_.ScheduleAt(config_.warmup, [this] {
-    measuring_ = true;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                       obs::EventType::kMeasureStart, 0);
-    result_->series.BeginPeriod();
-    measured_periods_ = 1;
-    measure_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.qos.period, [this] {
-          if (measured_periods_ >= config_.measure_periods) {
-            measuring_ = false;
-            measure_timer_->Stop();
-            return;
-          }
-          result_->series.BeginPeriod();
-          ++measured_periods_;
-        });
-    measure_timer_->Start();
-  });
+  plane_.StartMeasureWindow(config_.warmup, config_.qos.period,
+                            config_.measure_periods,
+                            std::span(&result_->series, 1));
 
   const SimTime end = config_.warmup + static_cast<SimTime>(
                                            config_.measure_periods) *
                                            config_.qos.period;
   sim_.RunUntil(end);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kMeasureEnd, 0);
+  plane_.Emit(obs::EventType::kMeasureEnd, 0);
 
   // Harvest.
   result_->total_kiops = ToKiops(
@@ -553,33 +412,26 @@ ExperimentResult Experiment::Run() {
       result_->engine_stats.push_back(rig.engine->stats());
     }
   }
+  result_->capacity_trace = std::move(plane_.capacity_trace());
   result_->events_run = sim_.EventsRun();
   result_->fault_stats = fabric_->fault_stats();
 
-  // Run-level roll-ups into the metrics registry (cumulative counters; the
-  // per-period trajectory lives in the snapshots above).
-  metrics_.Set("run.total_kiops", result_->total_kiops);
-  metrics_.Add("run.events", static_cast<std::int64_t>(result_->events_run));
-  metrics_.Add("fabric.ops_dropped",
-               static_cast<std::int64_t>(result_->fault_stats.ops_dropped));
-  metrics_.Add("fabric.ops_delayed",
-               static_cast<std::int64_t>(result_->fault_stats.ops_delayed));
-  metrics_.Add(
+  plane_.AddRollup("run.events",
+                   static_cast<std::int64_t>(result_->events_run));
+  plane_.AddRollup("fabric.ops_dropped",
+                   static_cast<std::int64_t>(result_->fault_stats.ops_dropped));
+  plane_.AddRollup("fabric.ops_delayed",
+                   static_cast<std::int64_t>(result_->fault_stats.ops_delayed));
+  plane_.AddRollup(
       "fabric.ops_duplicated",
       static_cast<std::int64_t>(result_->fault_stats.ops_duplicated));
   for (const auto& engine_stats : result_->engine_stats) {
-    metrics_.Add("engine.faa_ops",
-                 static_cast<std::int64_t>(engine_stats.faa_ops));
-    metrics_.Add("engine.report_writes",
-                 static_cast<std::int64_t>(engine_stats.report_writes));
-    metrics_.Add("engine.completed_total",
-                 static_cast<std::int64_t>(engine_stats.completed_total));
-  }
-  if (recorder_ != nullptr) {
-    metrics_.Add("trace.emitted_events",
-                 static_cast<std::int64_t>(recorder_->TotalEmitted()));
-    metrics_.Add("trace.dropped_events",
-                 static_cast<std::int64_t>(recorder_->TotalDropped()));
+    plane_.AddRollup("engine.faa_ops",
+                     static_cast<std::int64_t>(engine_stats.faa_ops));
+    plane_.AddRollup("engine.report_writes",
+                     static_cast<std::int64_t>(engine_stats.report_writes));
+    plane_.AddRollup("engine.completed_total",
+                     static_cast<std::int64_t>(engine_stats.completed_total));
   }
 
   // Cross-layer span profile: with detail tracing on, reassemble every I/O's
@@ -588,18 +440,20 @@ ExperimentResult Experiment::Run() {
   // so each snapshot row is that period's distribution, not a cumulative
   // blur). Compiles to nothing under HAECHI_TRACE=OFF: the AssembleSpans
   // stub returns an empty vector.
-  if (recorder_ != nullptr && recorder_->detail()) {
+  obs::Recorder* recorder = plane_.recorder();
+  if (recorder != nullptr && recorder->detail()) {
     obs::SpanAssemblyStats span_stats;
-    result_->spans = obs::AssembleSpans(recorder_->Merged(), &span_stats);
+    result_->spans = obs::AssembleSpans(recorder->Merged(), &span_stats);
     result_->span_stats = span_stats;
-    metrics_.Add("span.count", static_cast<std::int64_t>(span_stats.spans));
-    metrics_.Add("span.dropped_unissued",
-                 static_cast<std::int64_t>(span_stats.dropped_unissued));
-    metrics_.Add("span.dropped_uncompleted",
-                 static_cast<std::int64_t>(span_stats.dropped_uncompleted));
-    metrics_.Add("span.orphan_events",
-                 static_cast<std::int64_t>(span_stats.orphan_events));
+    plane_.AddRollup("span.count", static_cast<std::int64_t>(span_stats.spans));
+    plane_.AddRollup("span.dropped_unissued",
+                     static_cast<std::int64_t>(span_stats.dropped_unissued));
+    plane_.AddRollup("span.dropped_uncompleted",
+                     static_cast<std::int64_t>(span_stats.dropped_uncompleted));
+    plane_.AddRollup("span.orphan_events",
+                     static_cast<std::int64_t>(span_stats.orphan_events));
     if (!result_->spans.empty()) {
+      obs::MetricsRegistry& registry = metrics();
       static constexpr const char* kStageMetric[obs::kSpanStages] = {
           "span.stage.admit", "span.stage.token_fetch",
           "span.stage.convert_wait", "span.stage.queue",
@@ -609,85 +463,19 @@ ExperimentResult Experiment::Run() {
         by_period[span.period].push_back(&span);
       }
       for (const auto& [period, spans] : by_period) {
-        for (const char* name : kStageMetric) metrics_.Histogram(name).Reset();
-        metrics_.Histogram("span.stage.total").Reset();
+        for (const char* name : kStageMetric) registry.Histogram(name).Reset();
+        registry.Histogram("span.stage.total").Reset();
         for (const obs::IoSpan* span : spans) {
           for (std::size_t s = 0; s < obs::kSpanStages; ++s) {
-            metrics_.Record(kStageMetric[s], span->stage_ns[s]);
+            registry.Record(kStageMetric[s], span->stage_ns[s]);
           }
-          metrics_.Record("span.stage.total", span->Total());
+          registry.Record("span.stage.total", span->Total());
         }
-        metrics_.SnapshotHistograms(period, "span.stage.");
+        registry.SnapshotHistograms(period, "span.stage.");
       }
     }
   }
-
-  if (recorder_ != nullptr && !config_.trace.out_path.empty()) {
-    const Status exported =
-        obs::ExportTraceFile(*recorder_, config_.trace.out_path);
-    if (exported.ok()) {
-      HAECHI_LOG_INFO("experiment: exported %llu trace events to %s",
-                      static_cast<unsigned long long>(
-                          recorder_->TotalEmitted()),
-                      config_.trace.out_path.c_str());
-    } else {
-      HAECHI_LOG_WARN("experiment: trace export failed: %s",
-                      exported.ToString().c_str());
-    }
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (watchdog_ != nullptr) {
-    const Status flushed = watchdog_->Finish();
-    if (!flushed.ok()) {
-      HAECHI_LOG_WARN("experiment: alert sink flush failed: %s",
-                      flushed.ToString().c_str());
-    }
-    metrics_.Add("watchdog.alerts",
-                 static_cast<std::int64_t>(watchdog_->alerts().size()));
-    metrics_.Add("watchdog.critical",
-                 static_cast<std::int64_t>(
-                     watchdog_->CountAtLeast(obs::AlertSeverity::kCritical)));
-    metrics_.Add("watchdog.periods_evaluated",
-                 static_cast<std::int64_t>(watchdog_->periods_evaluated()));
-  }
-  if (controller_ != nullptr) {
-    const auto& cs = controller_->stats();
-    metrics_.Add("controller.alerts", static_cast<std::int64_t>(cs.alerts));
-    metrics_.Add("controller.resizes", static_cast<std::int64_t>(cs.resizes));
-    metrics_.Add("controller.eta_scalings",
-                 static_cast<std::int64_t>(cs.eta_scalings));
-    metrics_.Add("controller.forced_conversions",
-                 static_cast<std::int64_t>(cs.forced_conversions));
-    metrics_.Add("controller.readmits",
-                 static_cast<std::int64_t>(cs.readmits));
-    metrics_.Add("controller.recoveries",
-                 static_cast<std::int64_t>(cs.recoveries));
-  }
-#endif
-  if (!config_.trace.metrics_out.empty()) {
-    const Status written =
-        metrics_.ToCsv().WriteFile(config_.trace.metrics_out);
-    if (!written.ok()) {
-      HAECHI_LOG_WARN("experiment: metrics export failed: %s",
-                      written.ToString().c_str());
-    }
-  }
-  if (!config_.trace.prom_out.empty()) {
-    const std::string exposition = metrics_.ToPrometheus();
-    std::FILE* file = std::fopen(config_.trace.prom_out.c_str(), "wb");
-    if (file == nullptr) {
-      HAECHI_LOG_WARN("experiment: cannot open prom file: %s",
-                      config_.trace.prom_out.c_str());
-    } else {
-      const std::size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), file);
-      const int closed = std::fclose(file);
-      if (written != exposition.size() || closed != 0) {
-        HAECHI_LOG_WARN("experiment: short write to prom file: %s",
-                        config_.trace.prom_out.c_str());
-      }
-    }
-  }
+  plane_.Finish(result_->total_kiops);
 
   // Stop the machinery so a subsequent RunUntil in tests drains cleanly.
   if (monitor_) monitor_->Stop();

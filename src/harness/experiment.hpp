@@ -7,24 +7,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/config.hpp"
-#include "core/control/controller.hpp"
 #include "core/engine.hpp"
 #include "core/monitor.hpp"
+#include "harness/run_plane.hpp"
 #include "kvstore/client.hpp"
 #include "kvstore/server.hpp"
 #include "net/model_params.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "rdma/fabric.hpp"
@@ -45,16 +39,6 @@ enum class Mode {
 
 /// Which I/O path clients use.
 enum class IoPath { kOneSided, kTwoSided };
-
-/// Per-client experiment parameters (all rates in I/Os per QoS period).
-struct ClientSpec {
-  std::int64_t reservation = 0;
-  std::int64_t limit = 0;  // 0 = unlimited
-  std::int64_t demand = 0;
-  workload::RequestPattern pattern = workload::RequestPattern::kBurst;
-  /// YCSB-style write mix (0.0 = the paper's read-only workload C).
-  double write_fraction = 0.0;
-};
 
 struct ExperimentConfig {
   Mode mode = Mode::kHaechi;
@@ -109,95 +93,23 @@ struct ExperimentConfig {
   };
   std::vector<ClientFault> client_faults;
 
-  /// Flight-recorder tracing (src/obs). `enabled` installs a Recorder for
-  /// the whole run (cluster build through teardown); `out_path` also
-  /// exports the merged stream when the run ends (".json" => Perfetto
-  /// trace-event JSON, anything else => CSV — the audit tool's input).
-  /// `metrics_out` writes the per-period metrics snapshots as CSV;
-  /// `prom_out` writes the same snapshots as Prometheus text exposition
-  /// (one sample per row, the period as a label). When tracing is compiled
-  /// out (HAECHI_TRACE=OFF) a recorder is still installed but records only
-  /// the harness's own bookkeeping events.
-  struct TraceConfig {
-    bool enabled = false;
-    bool detail = false;  // also record per-I/O kRdma*/kKv* events
-    std::size_t ring_capacity = 1u << 16;
-    std::string out_path;
-    std::string metrics_out;
-    std::string prom_out;
-  };
+  using TraceConfig = harness::TraceConfig;
   TraceConfig trace;
 
-  /// Online SLO watchdog (src/obs/slo). Any of `enabled`, a nonempty
-  /// `alerts_out`, or a nonzero `status_interval` arms it; arming forces a
-  /// flight recorder (the watchdog taps its event stream). `alerts_out`
-  /// writes one JSON line per alert when the run ends; `status_interval=N`
-  /// invokes `status_fn` (default: a stderr status line) after every Nth
-  /// evaluated period. Inert when HAECHI_WATCHDOG=OFF — the wiring
-  /// compiles out and haechi_sim behaves as before.
-  struct WatchdogConfig {
-    bool enabled = false;
-    double guarantee_fraction = 0.95;
-    std::string alerts_out;
-    std::uint32_t status_interval = 0;
-    std::function<void(const obs::PeriodStatus&)> status_fn;
-  };
+  using WatchdogConfig = harness::WatchdogConfig;
   WatchdogConfig watchdog;
 
-  /// Closed-loop QoS control plane (src/core/control, DESIGN.md §14). A
-  /// non-kOff policy (or a scripted swap below) arms the controller, which
-  /// force-arms the watchdog — the controller feeds on its alert stream.
-  /// Inert when HAECHI_WATCHDOG=OFF, like the watchdog itself.
-  struct ControlConfig {
-    core::control::Policy policy = core::control::Policy::kOff;
-    std::uint32_t rules = core::control::kAllRules;
-    std::uint32_t quiet_periods = 1;
-    std::uint32_t oscillation_quiet = 6;
-    std::uint32_t eta_recover_after = 16;
-    std::int64_t min_reservation = 0;
-    /// Service classes by client index; missing = permissive default.
-    std::map<std::size_t, core::control::ClientClass> classes;
-    /// Scripted runtime policy swaps (the --control-api surface): applied
-    /// at the first boundary whose period counter is >= `first`.
-    std::vector<std::pair<std::uint32_t, core::control::Policy>> api;
-
-    [[nodiscard]] bool armed() const {
-      return policy != core::control::Policy::kOff || !api.empty();
-    }
-    [[nodiscard]] core::control::ControllerConfig ToControllerConfig() const {
-      core::control::ControllerConfig out;
-      out.policy = policy;
-      out.rules = rules;
-      out.quiet_periods = quiet_periods;
-      out.oscillation_quiet = oscillation_quiet;
-      out.eta_recover_after = eta_recover_after;
-      out.min_reservation = min_reservation;
-      return out;
-    }
-  };
+  using ControlConfig = harness::ControlConfig;
   ControlConfig control;
 };
 
-struct ExperimentResult {
-  /// Completed I/Os per measured period per client.
-  stats::PeriodSeries series;
-  /// The reservation vector actually admitted (tokens per period).
-  std::vector<std::int64_t> reservations;
+/// The simulated backend's result: the shared RunResult plus what only a
+/// discrete-event run can measure.
+struct ExperimentResult : RunResult {
+  using RunResult::RunResult;
+
   /// Submit-to-completion latency over the measurement window (ns).
   stats::Histogram latency;
-  /// Aggregate throughput over the measurement window.
-  double total_kiops = 0.0;
-  /// (period index, reported completions, next-period capacity estimate)
-  /// — one entry per monitor period, QoS modes only.
-  struct CapacityPoint {
-    std::uint32_t period;
-    std::int64_t completions;
-    std::int64_t estimate;
-  };
-  std::vector<CapacityPoint> capacity_trace;
-  core::QosMonitor::Stats monitor_stats;
-  /// One entry per client (the *current* engine after any restarts).
-  std::vector<core::ClientQosEngine::Stats> engine_stats;
   std::uint64_t events_run = 0;
   /// Fabric fault-injection counters (zero when no plan was installed).
   rdma::Fabric::FaultStats fault_stats;
@@ -230,23 +142,17 @@ class Experiment {
   }
   [[nodiscard]] kvstore::KvServer& server() { return *server_; }
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  /// The run's flight recorder (null unless config.trace asked for one).
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
-  /// Per-period metrics snapshots (populated for QoS modes during Run).
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// The online watchdog (null unless config.watchdog armed one — always
-  /// null when HAECHI_WATCHDOG=OFF).
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
-  /// The closed-loop controller (null unless config.control armed one —
-  /// always null when HAECHI_WATCHDOG=OFF).
+  // The run plane's parts (see RunPlane): null unless config asked for
+  // them; the watchdog and controller are always null when
+  // HAECHI_WATCHDOG=OFF.
+  [[nodiscard]] obs::Recorder* recorder() { return plane_.recorder(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return plane_.metrics(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return plane_.watchdog(); }
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return plane_.controller();
   }
-  /// The watchdog's buffered JSONL alert document ("" when not armed) —
-  /// the same bytes `alerts_out` persists.
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return plane_.alerts_jsonl();
   }
 
  private:
@@ -282,6 +188,8 @@ class Experiment {
 
   ExperimentConfig config_;
   sim::Simulator sim_;
+  // After the simulator its recorder and measurement timer use.
+  RunPlane plane_;
   std::unique_ptr<rdma::Fabric> fabric_;
   std::unique_ptr<kvstore::KvServer> server_;
   std::unique_ptr<core::QosMonitor> monitor_;
@@ -295,18 +203,6 @@ class Experiment {
   std::vector<std::unique_ptr<kvstore::KvClient>> background_clients_;
   std::vector<std::unique_ptr<workload::DemandGenerator>> background_gens_;
   std::unique_ptr<ExperimentResult> result_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  // Null unless config_.watchdog arms them (never armed when
-  // HAECHI_WATCHDOG=OFF).
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  /// Scripted policy swaps not yet applied (drained by the period hook).
-  std::size_t control_api_next_ = 0;
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<sim::PeriodicTimer> measure_timer_;
-  std::size_t measured_periods_ = 0;
-  bool measuring_ = false;
   std::vector<std::byte> write_value_;
 };
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <limits>
 #include <mutex>
 #include <span>
@@ -12,14 +11,11 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "common/logging.hpp"
-#include "obs/export.hpp"
 #include "runtime/shared_region.hpp"
 
 namespace haechi::harness {
 
 namespace {
-using obs::ActorKind;
 using obs::EventType;
 
 // xorshift64*: a self-contained per-worker key stream (the threaded run is
@@ -33,7 +29,10 @@ std::uint64_t NextKey(std::uint64_t& state) {
 }  // namespace
 
 ThreadedExperiment::ThreadedExperiment(ExperimentConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      plane_(config_.trace, config_.watchdog, config_.control, nullptr,
+             [this] { return clock_.Now(); },
+             runtime::SharedRegion::kMaxClients, &watchdog_mu_) {
   HAECHI_EXPECTS(!config_.clients.empty());
   HAECHI_EXPECTS(config_.clients.size() <= runtime::SharedRegion::kMaxClients);
   HAECHI_EXPECTS(config_.mode != Mode::kBare);
@@ -55,6 +54,12 @@ ThreadedExperiment::ThreadedExperiment(ExperimentConfig config)
     HAECHI_EXPECTS(fault.restart_at == kSimTimeMax);
   }
   HAECHI_EXPECTS(config_.background_demand == 0);
+  // The worker's record loop only reads; a write mix would be silently
+  // ignored. (Request patterns are not checked: the loop drains each
+  // period's demand as fast as tokens allow, whatever the pattern.)
+  for (const ClientSpec& spec : config_.clients) {
+    HAECHI_EXPECTS(spec.write_fraction == 0.0);
+  }
   HAECHI_EXPECTS(config_.qos.period > 0);
   HAECHI_EXPECTS(config_.qos.pool_shards >= 1 &&
                  config_.qos.pool_shards <=
@@ -141,11 +146,8 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
           clock_.Now() >= crash_at_[st.index]) {
         // Scripted crash: the engine dies silently mid-period (no final
         // report); the monitor's lease reclaims its residual claim.
-        if (recorder_ != nullptr) {
-          recorder_->EmitAt(clock_.Now(), ActorKind::kHarness,
-                            static_cast<std::uint32_t>(st.index),
-                            EventType::kClientCrash, 0);
-        }
+        plane_.Emit(EventType::kClientCrash,
+                    static_cast<std::uint32_t>(st.index));
         engine.Stop();
         deactivate();
         progress = true;
@@ -221,84 +223,10 @@ void ThreadedExperiment::WorkerLoop(std::size_t worker) {
 
 ThreadedExperimentResult ThreadedExperiment::Run() {
   const std::size_t n = config_.clients.size();
-  ThreadedExperimentResult result{stats::PeriodSeries(n)};
+  ThreadedExperimentResult result(n);
   const SimTime run_start = clock_.Now();
-
-#if HAECHI_WATCHDOG_ENABLED
-  // Arming the watchdog forces a recorder (it taps the event stream); an
-  // armed controller in turn forces the watchdog (it feeds on its alerts).
-  const bool want_watchdog = config_.watchdog.enabled ||
-                             !config_.watchdog.alerts_out.empty() ||
-                             config_.watchdog.status_interval > 0 ||
-                             config_.control.armed();
-#else
-  const bool want_watchdog = false;
-#endif
-  if (config_.trace.enabled || want_watchdog) {
-    obs::Recorder::Options options;
-    options.ring_capacity = config_.trace.ring_capacity;
-    options.detail = config_.trace.detail;
-    options.preallocate_actors = runtime::SharedRegion::kMaxClients;
-    recorder_ = std::make_unique<obs::Recorder>(
-        obs::Recorder::ClockFn([this] { return clock_.Now(); }), options);
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (want_watchdog) {
-    obs::WatchdogOptions wd_options;
-    wd_options.guarantee_fraction = config_.watchdog.guarantee_fraction;
-    watchdog_ = std::make_unique<obs::SloWatchdog>(wd_options);
-    alerts_sink_ =
-        std::make_unique<obs::JsonlAlertSink>(config_.watchdog.alerts_out);
-    watchdog_->AddSink(alerts_sink_.get());
-    if (config_.watchdog.status_interval > 0) {
-      auto status_fn = config_.watchdog.status_fn;
-      if (!status_fn) {
-        status_fn = [](const obs::PeriodStatus& status) {
-          std::fprintf(stderr, "%s\n", obs::FormatStatusLine(status).c_str());
-        };
-      }
-      watchdog_->SetStatusFn(std::move(status_fn),
-                             config_.watchdog.status_interval);
-    }
-    if (config_.control.armed()) {
-      controller_ = std::make_unique<core::control::QosController>(
-          config_.control.ToControllerConfig());
-      // The controller's OnAlert only ever fires while the watchdog
-      // processes monitor-emitted events, and PlanBoundary runs on the
-      // monitor thread too — its state is effectively monitor-thread-local.
-      watchdog_->AddSink(controller_.get());
-      std::stable_sort(config_.control.api.begin(), config_.control.api.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-    }
-    // Installed before the first harness event below, and serialised: the
-    // monitor's two timer threads and every worker-owned engine emit
-    // concurrently, while the watchdog is single-threaded by contract.
-    recorder_->SetTap([this](const obs::TraceEvent& event) {
-      std::lock_guard lk(watchdog_mu_);
-      watchdog_->OnEvent(event);
-    });
-    recorder_->SetDropNotify([this] {
-      std::lock_guard lk(watchdog_mu_);
-      watchdog_->NotifyTruncation(clock_.Now());
-    });
-  }
-#endif
-  const auto emit = [this](EventType type, std::uint32_t actor, std::int64_t a,
-                           std::int64_t b, std::int64_t c) {
-    if (recorder_ != nullptr) {
-      recorder_->EmitAt(clock_.Now(), ActorKind::kHarness, actor, type, 0, a,
-                        b, c);
-    }
-  };
-  emit(EventType::kRunConfig, 0, config_.qos.period, config_.qos.token_batch,
-       static_cast<std::int64_t>(config_.measure_periods));
-  for (std::size_t i = 0; i < n; ++i) {
-    const ClientSpec& spec = config_.clients[i];
-    emit(EventType::kClientSpec, static_cast<std::uint32_t>(i),
-         spec.reservation, spec.limit, spec.demand);
-  }
+  plane_.EmitRunConfig(config_.qos, config_.measure_periods);
+  plane_.DeclareClients(config_.clients);
 
   core::QosConfig qos = config_.qos;
   qos.token_conversion = config_.mode == Mode::kHaechi;
@@ -311,7 +239,7 @@ ThreadedExperimentResult ThreadedExperiment::Run() {
   fabric_ = std::make_unique<runtime::ThreadedFabric>(
       clock_, config_.records, static_cast<std::size_t>(qos.pool_shards));
   monitor_ = std::make_unique<runtime::ThreadedMonitor>(
-      clock_, recorder_.get(), qos, *fabric_, config_.profiled_global_iops,
+      clock_, plane_.recorder(), qos, *fabric_, config_.profiled_global_iops,
       config_.profiled_local_iops);
 
   completions_.assign(
@@ -324,31 +252,17 @@ ThreadedExperimentResult ThreadedExperiment::Run() {
     HAECHI_EXPECTS(wiring.ok());
     ports_.push_back(wiring.value().slot);
     engines_.push_back(std::make_unique<runtime::ThreadedEngine>(
-        clock_, recorder_.get(), id, qos, *fabric_, wiring.value().slot,
+        clock_, plane_.recorder(), id, qos, *fabric_, wiring.value().slot,
         wiring.value().slot));
     const Status bound = monitor_->BindEngine(id, engines_.back().get());
     HAECHI_EXPECTS(bound.ok());
     result.reservations.push_back(spec.reservation);
   }
 
-  if (controller_ != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const ClientSpec& spec = config_.clients[i];
-      controller_->SetClientSpec(static_cast<std::uint32_t>(i),
-                                 spec.reservation, spec.limit, spec.demand);
-      const auto cls = config_.control.classes.find(i);
-      if (cls != config_.control.classes.end()) {
-        controller_->SetClientClass(static_cast<std::uint32_t>(i),
-                                    cls->second);
-      }
-    }
+  if (controller() != nullptr) {
     // No readmit callback: threaded clients never depart through a lease
     // (no fault plans here), so kReadmit actions stay unapplied.
-    monitor_->SetController(controller_.get(), nullptr);
-    emit(EventType::kControllerConfig, 0,
-         static_cast<std::int64_t>(controller_->policy()),
-         static_cast<std::int64_t>(controller_->config().rules),
-         static_cast<std::int64_t>(controller_->config().quiet_periods));
+    monitor_->SetController(controller(), nullptr);
   }
 
   // Completion latch: the monitor's period hook fires with the period that
@@ -366,34 +280,21 @@ ThreadedExperimentResult ThreadedExperiment::Run() {
   monitor_->SetPeriodHook([&, this](std::uint32_t period,
                                     std::int64_t completions,
                                     std::int64_t estimate) {
-    // Scripted control-api swaps: the hook runs on the monitor thread, the
-    // same thread that calls PlanBoundary, so SetPolicy needs no lock and
-    // the same boundary already sees the new policy.
-    while (control_api_next_ < config_.control.api.size() &&
-           config_.control.api[control_api_next_].first <= period) {
-      const auto swap = config_.control.api[control_api_next_++];
-      if (controller_ != nullptr) {
-        controller_->SetPolicy(swap.second);
-        emit(EventType::kControllerConfig, 0,
-             static_cast<std::int64_t>(swap.second),
-             static_cast<std::int64_t>(controller_->config().rules),
-             static_cast<std::int64_t>(controller_->config().quiet_periods));
-      }
+    // The start marker is stamped half a period back, so it goes out
+    // before this boundary's own harness events (a scripted swap): the
+    // harness/0 stream must stay time-ordered.
+    if (period == static_cast<std::uint32_t>(warmup_periods_)) {
+      plane_.EmitAt(clock_.Now() - config_.qos.period / 2,
+                    EventType::kMeasureStart);
     }
-    result.capacity_trace.push_back({period, completions, estimate});
-    metrics_.Add("monitor.completions", completions);
-    metrics_.Set("monitor.capacity_estimate", static_cast<double>(estimate));
-    metrics_.SnapshotPeriod(period);
-    if (period == static_cast<std::uint32_t>(warmup_periods_) &&
-        recorder_ != nullptr) {
-      recorder_->EmitAt(clock_.Now() - config_.qos.period / 2,
-                        ActorKind::kHarness, 0, EventType::kMeasureStart, 0);
-    }
+    // The hook runs on the monitor thread, the same thread that calls
+    // PlanBoundary, so a scripted swap needs no lock and the same boundary
+    // already sees the new policy.
+    plane_.OnBoundary(period, completions, estimate);
+    plane_.Snapshot(period);
     if (period == last_measured) {
-      if (recorder_ != nullptr) {
-        recorder_->EmitAt(clock_.Now() + config_.qos.period / 2,
-                          ActorKind::kHarness, 0, EventType::kMeasureEnd, 0);
-      }
+      plane_.EmitAt(clock_.Now() + config_.qos.period / 2,
+                    EventType::kMeasureEnd);
       std::lock_guard lk(done_mu);
       done = true;
       done_cv.notify_all();
@@ -494,6 +395,7 @@ ThreadedExperimentResult ThreadedExperiment::Run() {
     result.engine_stats.push_back(engine->StatsSnapshot());
     result.engine_runtime_stats.push_back(engine->RuntimeStatsSnapshot());
   }
+  result.capacity_trace = std::move(plane_.capacity_trace());
   result.worker_stats = worker_stats_;
   for (const std::size_t slot : ports_) {
     result.report_write_retries += fabric_->SlotWriteRetries(slot);
@@ -503,105 +405,38 @@ ThreadedExperimentResult ThreadedExperiment::Run() {
   // Runtime-layer rollups: the "dark" counters the trace cannot carry at
   // full rate — shard FAA outcome mix, seqlock writer contention, worker
   // pool occupancy.
-  metrics_.Set("run.total_kiops", result.total_kiops);
   for (const auto& rt : result.engine_runtime_stats) {
-    metrics_.Add("runtime.faa_home_hits",
-                 static_cast<std::int64_t>(rt.faa_home_hits));
-    metrics_.Add("runtime.faa_steals",
-                 static_cast<std::int64_t>(rt.faa_steals));
-    metrics_.Add("runtime.faa_dry_probes",
-                 static_cast<std::int64_t>(rt.faa_dry_probes));
-    metrics_.Add("runtime.span_ios",
-                 static_cast<std::int64_t>(rt.span_ios));
+    plane_.AddRollup("runtime.faa_home_hits",
+                     static_cast<std::int64_t>(rt.faa_home_hits));
+    plane_.AddRollup("runtime.faa_steals",
+                     static_cast<std::int64_t>(rt.faa_steals));
+    plane_.AddRollup("runtime.faa_dry_probes",
+                     static_cast<std::int64_t>(rt.faa_dry_probes));
+    plane_.AddRollup("runtime.span_ios",
+                     static_cast<std::int64_t>(rt.span_ios));
   }
-  metrics_.Add("runtime.convert_cas_retries",
-               static_cast<std::int64_t>(
-                   result.monitor_runtime_stats.convert_cas_retries));
-  metrics_.Add("runtime.shard_samples",
-               static_cast<std::int64_t>(
-                   result.monitor_runtime_stats.shard_samples));
-  metrics_.Add("runtime.report_write_retries",
-               static_cast<std::int64_t>(result.report_write_retries));
-  metrics_.Add("runtime.rebalances",
-               static_cast<std::int64_t>(result.monitor_stats.rebalances));
-  metrics_.Add("runtime.rebalanced_tokens", result.monitor_stats.rebalanced_tokens);
+  plane_.AddRollup("runtime.convert_cas_retries",
+                   static_cast<std::int64_t>(
+                       result.monitor_runtime_stats.convert_cas_retries));
+  plane_.AddRollup("runtime.shard_samples",
+                   static_cast<std::int64_t>(
+                       result.monitor_runtime_stats.shard_samples));
+  plane_.AddRollup("runtime.report_write_retries",
+                   static_cast<std::int64_t>(result.report_write_retries));
+  plane_.AddRollup("runtime.rebalances",
+                   static_cast<std::int64_t>(result.monitor_stats.rebalances));
+  plane_.AddRollup("runtime.rebalanced_tokens",
+                   result.monitor_stats.rebalanced_tokens);
   for (std::size_t w = 0; w < result.worker_stats.size(); ++w) {
     const std::string prefix = "worker." + std::to_string(w) + ".";
     const auto& ws = result.worker_stats[w];
-    metrics_.Add(prefix + "batches", static_cast<std::int64_t>(ws.batches));
-    metrics_.Add(prefix + "ios", static_cast<std::int64_t>(ws.ios));
-    metrics_.Add(prefix + "idle_sleeps",
-                 static_cast<std::int64_t>(ws.idle_sleeps));
+    plane_.AddRollup(prefix + "batches", static_cast<std::int64_t>(ws.batches));
+    plane_.AddRollup(prefix + "ios", static_cast<std::int64_t>(ws.ios));
+    plane_.AddRollup(prefix + "idle_sleeps",
+                     static_cast<std::int64_t>(ws.idle_sleeps));
   }
-  if (recorder_ != nullptr) {
-    metrics_.Add("trace.emitted_events",
-                 static_cast<std::int64_t>(recorder_->TotalEmitted()));
-    metrics_.Add("trace.dropped_events",
-                 static_cast<std::int64_t>(recorder_->TotalDropped()));
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (watchdog_ != nullptr) {
-    // Every emitter thread is joined; no lock needed past this point.
-    const Status flushed = watchdog_->Finish();
-    if (!flushed.ok()) {
-      HAECHI_LOG_WARN("threaded experiment: alert sink flush failed: %s",
-                      flushed.ToString().c_str());
-    }
-    metrics_.Add("watchdog.alerts",
-                 static_cast<std::int64_t>(watchdog_->alerts().size()));
-    metrics_.Add("watchdog.critical",
-                 static_cast<std::int64_t>(
-                     watchdog_->CountAtLeast(obs::AlertSeverity::kCritical)));
-    metrics_.Add("watchdog.periods_evaluated",
-                 static_cast<std::int64_t>(watchdog_->periods_evaluated()));
-  }
-  if (controller_ != nullptr) {
-    const auto& cs = controller_->stats();
-    metrics_.Add("controller.alerts", static_cast<std::int64_t>(cs.alerts));
-    metrics_.Add("controller.resizes", static_cast<std::int64_t>(cs.resizes));
-    metrics_.Add("controller.eta_scalings",
-                 static_cast<std::int64_t>(cs.eta_scalings));
-    metrics_.Add("controller.forced_conversions",
-                 static_cast<std::int64_t>(cs.forced_conversions));
-    metrics_.Add("controller.readmits",
-                 static_cast<std::int64_t>(cs.readmits));
-    metrics_.Add("controller.recoveries",
-                 static_cast<std::int64_t>(cs.recoveries));
-  }
-#endif
-
-  if (recorder_ != nullptr && !config_.trace.out_path.empty()) {
-    const Status status =
-        obs::ExportTraceFile(*recorder_, config_.trace.out_path);
-    if (!status.ok()) {
-      HAECHI_LOG_WARN("threaded experiment: trace export failed: %s",
-                      status.ToString().c_str());
-    }
-  }
-  if (!config_.trace.metrics_out.empty()) {
-    const Status written =
-        metrics_.ToCsv().WriteFile(config_.trace.metrics_out);
-    if (!written.ok()) {
-      HAECHI_LOG_WARN("threaded experiment: metrics export failed: %s",
-                      written.ToString().c_str());
-    }
-  }
-  if (!config_.trace.prom_out.empty()) {
-    const std::string exposition = metrics_.ToPrometheus();
-    std::FILE* file = std::fopen(config_.trace.prom_out.c_str(), "wb");
-    if (file == nullptr) {
-      HAECHI_LOG_WARN("threaded experiment: cannot open prom file: %s",
-                      config_.trace.prom_out.c_str());
-    } else {
-      const std::size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), file);
-      const int closed = std::fclose(file);
-      if (written != exposition.size() || closed != 0) {
-        HAECHI_LOG_WARN("threaded experiment: short write to prom file: %s",
-                        config_.trace.prom_out.c_str());
-      }
-    }
-  }
+  // Every emitter thread is joined.
+  plane_.Finish(result.total_kiops);
   return result;
 }
 

@@ -14,11 +14,12 @@
 // monitor outages (FaultPlan::MonitorCrashAt with a finite recover_at — a
 // driver thread crashes and recovers the ThreadedMonitor at the scripted
 // instants; DESIGN.md §15), the SLO watchdog and the closed-loop
-// controller — the recorder tap serialises multi-threaded emitters through
-// a mutex before the single-threaded watchdog. Features that belong to the
-// simulated cluster — transport-level fault plans, client restarts,
-// background traffic, the two-sided I/O path, bare mode — are rejected up
-// front (HAECHI_EXPECTS) rather than half-supported.
+// controller — the run plane's recorder tap serialises multi-threaded
+// emitters through this builder's mutex before the single-threaded
+// watchdog. Features that belong to the simulated cluster — transport-level
+// fault plans, client restarts, background traffic, the two-sided I/O
+// path, bare mode — and a write mix the read-only worker loop would ignore
+// are rejected up front (HAECHI_EXPECTS) rather than half-supported.
 //
 // Determinism caveat: results are statistically, not bitwise, reproducible.
 // The same config and seed produce the same admitted reservations and the
@@ -35,6 +36,7 @@
 
 #include "common/types.hpp"
 #include "harness/experiment.hpp"
+#include "harness/run_plane.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/clock.hpp"
@@ -45,16 +47,12 @@
 
 namespace haechi::harness {
 
-struct ThreadedExperimentResult {
-  /// Completed I/Os per measured period per client (same shape as the sim
-  /// result's series; rows are QoS periods warmup+1 .. warmup+measure).
-  stats::PeriodSeries series;
-  std::vector<std::int64_t> reservations;
-  double total_kiops = 0.0;
-  /// (period, reported completions, next estimate) per monitor period.
-  std::vector<ExperimentResult::CapacityPoint> capacity_trace;
-  runtime::ThreadedMonitor::Stats monitor_stats;
-  std::vector<runtime::ThreadedEngine::Stats> engine_stats;
+/// The threaded backend's result: the shared RunResult (same shape as the
+/// sim's; series rows are QoS periods warmup+1 .. warmup+measure) plus the
+/// runtime's own telemetry.
+struct ThreadedExperimentResult : RunResult {
+  using RunResult::RunResult;
+
   /// The monitor's per-period token conservation ledger.
   std::vector<runtime::ThreadedMonitor::PeriodLedger> ledger;
   /// Wall-clock duration of the run (ns, Clock epoch-relative).
@@ -94,22 +92,17 @@ class ThreadedExperiment {
     return *engines_.at(i);
   }
   [[nodiscard]] runtime::ThreadedFabric& fabric() { return *fabric_; }
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
-  /// Per-period snapshots plus the runtime-layer rollups (shard FAA mix,
-  /// seqlock retries, worker occupancy) — what trace.metrics_out/prom_out
-  /// persist for the threaded backend.
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  /// The online watchdog (null unless config.watchdog or an armed
-  /// controller wired one; always null when HAECHI_WATCHDOG=OFF).
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
+  // The run plane's parts (see RunPlane); the metrics' rollups add the
+  // runtime's shard FAA mix, seqlock retries and worker occupancy.
+  [[nodiscard]] obs::Recorder* recorder() { return plane_.recorder(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return plane_.metrics(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return plane_.watchdog(); }
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return plane_.controller();
   }
-  /// The watchdog's buffered JSONL alert document ("" when not armed).
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return plane_.alerts_jsonl();
   }
 
  private:
@@ -122,15 +115,15 @@ class ThreadedExperiment {
   /// completions_ row single-writer.
   std::size_t worker_count_ = 0;
   runtime::Clock clock_;
-  std::unique_ptr<obs::Recorder> recorder_;
   /// Serialises the recorder tap: the monitor's timer threads and every
   /// worker-owned engine emit concurrently, and the watchdog is
   /// single-threaded by contract.
   std::mutex watchdog_mu_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  std::size_t control_api_next_ = 0;
+  /// Declared before the fabric, monitor and engines, which hold its
+  /// recorder, so it outlives them. Its registry is written by the monitor
+  /// thread (period hook) during the run and by Run() after the join —
+  /// never concurrently.
+  RunPlane plane_;
   std::unique_ptr<runtime::ThreadedFabric> fabric_;
   std::unique_ptr<runtime::ThreadedMonitor> monitor_;
   std::vector<std::unique_ptr<runtime::ThreadedEngine>> engines_;
@@ -142,9 +135,6 @@ class ThreadedExperiment {
   std::vector<std::vector<std::int64_t>> completions_;
   /// worker_stats_[worker] — written only by that worker, read after join.
   std::vector<ThreadedExperimentResult::WorkerStats> worker_stats_;
-  /// Written by the monitor thread (period hook) during the run and by
-  /// Run() after the join — never concurrently.
-  obs::MetricsRegistry metrics_;
   std::vector<std::thread> workers_;
 };
 

@@ -78,9 +78,6 @@ struct EnginePeriod {
   /// Tokens posted by done fetches that tagged their delta (c > 0 on
   /// kTokenFetchDone, which every engine now writes).
   std::int64_t tokens_done = 0;
-  /// Done fetches with no per-event delta (sim traces written before the
-  /// engine core was shared): each drew the kRunConfig token batch.
-  std::int64_t faa_done_untagged = 0;
   std::vector<std::int64_t> report_residuals;
 };
 
@@ -448,6 +445,15 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
   // client -> period -> tallies.
   std::map<std::uint32_t, std::map<std::uint32_t, EnginePeriod>> engines;
   bool engine_truncated = false;
+  // Every fetch result names the tokens its FAA posted (c); A5 sums them.
+  // A result without one is malformed, never silently counted as B.
+  const auto untagged = [&](std::uint32_t engine, const TraceEvent& e) {
+    if (e.c > 0) return;
+    fail("A5", Fmt("engine %u period %u: %s with c=%lld is an untagged "
+                   "fetch (no posted-token count)",
+                   engine, e.period, std::string(ToString(e.type)).c_str(),
+                   static_cast<long long>(e.c)));
+  };
   for (const auto& [key, stream] : streams) {
     if (static_cast<ActorKind>(key.first) != ActorKind::kEngine) continue;
     if (truncated.contains(key)) {
@@ -483,14 +489,12 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
           break;
         case EventType::kTokenFetchDone:
           ++ep.faa_done;
-          if (e.c > 0) {
-            ep.tokens_done += e.c;
-          } else {
-            ++ep.faa_done_untagged;
-          }
+          ep.tokens_done += e.c;
+          untagged(key.second, e);
           break;
         case EventType::kTokenDiscard:
           ++ep.faa_discard;
+          untagged(key.second, e);
           break;
         case EventType::kReportWrite: {
           ep.report_residuals.push_back(e.a);
@@ -583,9 +587,8 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     if (report.clean) {
       // Fault-free: every posted fetch completes in its own period, so the
       // pool decrease each monitor observed must equal the sum of the
-      // tokens the fetches against *that node* posted — each fetch's own
-      // tagged delta (fetch-batched threaded runs) or B per untagged
-      // fetch (sim).
+      // tokens the fetches against *that node* posted, each fetch's own
+      // tagged delta.
       for (AuditPeriod& p : report.periods) {
         std::int64_t expected = 0;
         for (const auto& [actor, periods] : engines) {
@@ -593,8 +596,7 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
           const auto it = periods.find(p.period);
           if (it != periods.end()) {
             p.faa_done += it->second.faa_done;
-            expected += it->second.tokens_done +
-                        token_batch * it->second.faa_done_untagged;
+            expected += it->second.tokens_done;
           }
         }
         if (!p.closed) continue;
@@ -640,7 +642,7 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
                e.type == EventType::kTokenDiscard) &&
               e.time <= last_pool_observation && !in_outage(e.time)) {
             ++done_before_close;
-            lower += e.c > 0 ? e.c : token_batch;
+            lower += std::max<std::int64_t>(e.c, 0);
           }
         }
       }

@@ -254,16 +254,17 @@ Status ExportTraceFile(const Recorder& recorder, const std::string& path) {
   const std::vector<TraceEvent> events = recorder.Merged();
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string body =
-      json ? ToPerfettoString(events) : ToCsvString(events);
+  return WriteStringToFile(
+      path, json ? ToPerfettoString(events) : ToCsvString(events));
+}
+
+Status WriteStringToFile(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return ErrInvalidArgument("cannot open trace file for writing: " + path);
-  }
+  if (f == nullptr) return ErrInvalidArgument("cannot open " + path);
   const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
   const int closed = std::fclose(f);
   if (written != body.size() || closed != 0) {
-    return ErrInternal("short write exporting trace to " + path);
+    return ErrInternal("short write to " + path);
   }
   return Status::Ok();
 }

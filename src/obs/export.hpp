@@ -33,6 +33,9 @@ Result<std::vector<TraceEvent>> ParseCsvTrace(const std::string& text);
 /// extension (".json" => Perfetto, anything else => CSV).
 Status ExportTraceFile(const Recorder& recorder, const std::string& path);
 
+/// Writes `body` to `path`, replacing the file.
+Status WriteStringToFile(const std::string& path, const std::string& body);
+
 /// Reads a whole file (the audit tool's loader).
 Result<std::string> ReadFileToString(const std::string& path);
 

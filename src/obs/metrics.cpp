@@ -41,57 +41,55 @@ bool MetricsRegistry::Has(const std::string& name) const {
          histograms_.contains(name);
 }
 
+void MetricsRegistry::Push(std::uint32_t period, const std::string& name,
+                           const char* kind, double value) {
+  const std::string key = std::string(kind) + ":" + name;
+  const double delta = value - last_snapshot_[key];
+  last_snapshot_[key] = value;
+  snapshots_.push_back({period, name, kind, value, delta});
+}
+
 void MetricsRegistry::SnapshotPeriod(std::uint32_t period) {
-  auto push = [&](const std::string& name, const char* kind, double value) {
-    SnapshotRow row;
-    row.period = period;
-    row.name = name;
-    row.kind = kind;
-    row.value = value;
-    const std::string key = std::string(kind) + ":" + name;
-    row.delta = value - last_snapshot_[key];
-    last_snapshot_[key] = value;
-    snapshots_.push_back(std::move(row));
-  };
   for (const auto& [name, value] : counters_) {
-    push(name, "counter", static_cast<double>(value));
+    Push(period, name, "counter", static_cast<double>(value));
   }
-  for (const auto& [name, value] : gauges_) push(name, "gauge", value);
+  for (const auto& [name, value] : gauges_) Push(period, name, "gauge", value);
   for (const auto& [name, histogram] : histograms_) {
-    push(name, "histogram_count", static_cast<double>(histogram.Count()));
-    push(name, "histogram_p50",
+    Push(period, name, "histogram_count",
+         static_cast<double>(histogram.Count()));
+    Push(period, name, "histogram_p50",
          static_cast<double>(histogram.ValueAtQuantile(0.5)));
-    push(name, "histogram_p99",
+    Push(period, name, "histogram_p99",
          static_cast<double>(histogram.ValueAtQuantile(0.99)));
-    push(name, "histogram_max", static_cast<double>(histogram.Max()));
+    Push(period, name, "histogram_max", static_cast<double>(histogram.Max()));
   }
 }
 
 void MetricsRegistry::SnapshotHistograms(std::uint32_t period,
                                          const std::string& prefix) {
-  auto push = [&](const std::string& name, const char* kind, double value) {
-    SnapshotRow row;
-    row.period = period;
-    row.name = name;
-    row.kind = kind;
-    row.value = value;
-    const std::string key = std::string(kind) + ":" + name;
-    row.delta = value - last_snapshot_[key];
-    last_snapshot_[key] = value;
-    snapshots_.push_back(std::move(row));
-  };
   for (const auto& [name, histogram] : histograms_) {
     if (name.rfind(prefix, 0) != 0) continue;
-    push(name, "histogram_count", static_cast<double>(histogram.Count()));
-    push(name, "histogram_p50",
+    Push(period, name, "histogram_count",
+         static_cast<double>(histogram.Count()));
+    Push(period, name, "histogram_p50",
          static_cast<double>(histogram.ValueAtQuantile(0.5)));
-    push(name, "histogram_p95",
+    Push(period, name, "histogram_p95",
          static_cast<double>(histogram.ValueAtQuantile(0.95)));
-    push(name, "histogram_p99",
+    Push(period, name, "histogram_p99",
          static_cast<double>(histogram.ValueAtQuantile(0.99)));
-    push(name, "histogram_p999",
+    Push(period, name, "histogram_p999",
          static_cast<double>(histogram.ValueAtQuantile(0.999)));
-    push(name, "histogram_max", static_cast<double>(histogram.Max()));
+    Push(period, name, "histogram_max", static_cast<double>(histogram.Max()));
+  }
+}
+
+void MetricsRegistry::AppendRollups(std::uint32_t period,
+                                    const std::set<std::string>& names) {
+  for (const std::string& name : names) {
+    const auto counter = counters_.find(name);
+    Push(period, name, "rollup",
+         counter != counters_.end() ? static_cast<double>(counter->second)
+                                    : GaugeValue(name));
   }
 }
 

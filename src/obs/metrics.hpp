@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,11 @@ class MetricsRegistry {
   /// untouched so existing golden CSVs remain byte-stable.
   void SnapshotHistograms(std::uint32_t period, const std::string& prefix);
 
+  /// Appends one row of kind "rollup" per named counter or gauge, tagged
+  /// with `period` (the run's last boundary): end-of-run totals go after
+  /// every per-period row, so those rows stay byte-stable.
+  void AppendRollups(std::uint32_t period, const std::set<std::string>& names);
+
   [[nodiscard]] const std::vector<SnapshotRow>& snapshots() const {
     return snapshots_;
   }
@@ -79,6 +85,10 @@ class MetricsRegistry {
   [[nodiscard]] std::string ToPrometheus() const;
 
  private:
+  /// Appends one row; its delta is against the last row of (kind, name).
+  void Push(std::uint32_t period, const std::string& name, const char* kind,
+            double value);
+
   std::map<std::string, std::int64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, stats::Histogram> histograms_;

@@ -97,9 +97,8 @@ enum class EventType : std::uint16_t {
   kTokenDecay,              // a=surrendered tokens b=new bound X
   kTokenFetch,              // a=tokens posted per FAA (B, or B*fetch_batch)
                             // b=shard (threaded runtime)
-  kTokenFetchDone,          // a=pool value seen b=acquired c=tokens posted,
-                            // always (c=0 only in traces older than the
-                            // shared engine core: use kRunConfig.b)
+  kTokenFetchDone,          // a=pool value seen b=acquired c=tokens posted
+                            // (always > 0; the audit fails A5 on c <= 0)
   kTokenFetchFail,          // a=backoff ns (post or completion failure)
   kTokenDiscard,            // a=pool value seen (stale period or degraded)
                             // b=0 c=tokens posted, always (as above)

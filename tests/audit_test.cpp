@@ -321,6 +321,24 @@ TEST_F(AuditCorruption, FirstFailedCheckMapsTheLowestBrokenIdentity) {
   EXPECT_EQ(obs::FirstFailedCheck(AuditText(JoinLines(inflated))), 3);
 }
 
+TEST_F(AuditCorruption, AnUntaggedFetchResultFailsConservation) {
+  // Every fetch result names the tokens its FAA posted; c=0 is malformed
+  // input, not a fetch of the run's token batch.
+  auto lines = SplitLines(*csv_);
+  const std::size_t victim = FindLine(lines, ",faa_done,");
+  ASSERT_LT(victim, lines.size());
+  lines[victim] = WithField(lines[victim], 8, "0");  // c=tokens posted
+  const AuditReport report = AuditText(JoinLines(lines));
+  EXPECT_FALSE(report.ok());
+  const auto untagged = std::find_if(
+      report.violations.begin(), report.violations.end(),
+      [](const obs::AuditViolation& v) {
+        return v.check == "A5" &&
+               v.detail.find("untagged fetch") != std::string::npos;
+      });
+  EXPECT_NE(untagged, report.violations.end()) << report.Summary();
+}
+
 TEST_F(AuditCorruption, AnUnknownEventNameIsRejectedByTheParser) {
   auto lines = SplitLines(*csv_);
   const std::size_t victim = FindLine(lines, ",pool_sample,");

@@ -620,15 +620,16 @@ int Run(int argc, const char* const* argv) {
   }
 #endif
 
-  const std::string json = ToJson(figures, scale, tolerance, seed);
-  std::FILE* file = std::fopen(out_path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  std::printf("wrote %s\n", out_path.c_str());
+  // Writes one gate's JSON; false (after saying so) when it cannot.
+  const auto write_json = [](const std::string& path, const std::string& json) {
+    if (!obs::WriteStringToFile(path, json).ok()) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+  };
+  if (!write_json(out_path, ToJson(figures, scale, tolerance, seed))) return 2;
 
   // Threads-mode gate (--runtime=threads backend), in its own JSON with
   // its own (wider) tolerance since the runtime is wall-clock scheduled.
@@ -646,16 +647,10 @@ int Run(int argc, const char* const* argv) {
     } else {
       std::printf("no baseline at %s; seeding it\n", runtime_out.c_str());
     }
-    const std::string runtime_json =
-        ToJson(runtime_figures, 1.0, runtime_tolerance, seed);
-    std::FILE* runtime_file = std::fopen(runtime_out.c_str(), "wb");
-    if (runtime_file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", runtime_out.c_str());
+    if (!write_json(runtime_out, ToJson(runtime_figures, 1.0,
+                                        runtime_tolerance, seed))) {
       return 2;
     }
-    std::fwrite(runtime_json.data(), 1, runtime_json.size(), runtime_file);
-    std::fclose(runtime_file);
-    std::printf("wrote %s\n", runtime_out.c_str());
   }
 
   // Cluster borrow gate: drift bands for both policies, plus the strict
@@ -689,16 +684,10 @@ int Run(int argc, const char* const* argv) {
                   off.total_kiops);
       ++regressions;
     }
-    const std::string cluster_json =
-        ToJson(cluster_figures, scale, cluster_tolerance, seed);
-    std::FILE* cluster_file = std::fopen(cluster_out.c_str(), "wb");
-    if (cluster_file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cluster_out.c_str());
+    if (!write_json(cluster_out, ToJson(cluster_figures, scale,
+                                        cluster_tolerance, seed))) {
       return 2;
     }
-    std::fwrite(cluster_json.data(), 1, cluster_json.size(), cluster_file);
-    std::fclose(cluster_file);
-    std::printf("wrote %s\n", cluster_out.c_str());
   }
 
   const std::string overhead_bin = flags.GetString("overhead-bin", "");

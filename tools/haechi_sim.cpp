@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "cluster/borrow.hpp"
 #include "common/flags.hpp"
@@ -76,8 +75,8 @@ flags (all optional):
   --clients=N                number of clients        [10]
   --distribution=uniform|zipf|spike   reservations    [zipf]
   --reserved-pct=P           % of capacity reserved   [90]
-  --pattern=open|burst|rate  request pattern          [open]
-  --write-fraction=F         YCSB write mix           [0]
+  --pattern=open|burst|rate  request pattern (sim only) [open]
+  --write-fraction=F         YCSB write mix (sim only) [0]
   --demand-factor=F          demand = F * (R + pool)  [1.0]
   --limit-factor=F           limit = F * R (0 = none) [0]
   --periods=N                measured QoS periods     [8]
@@ -113,14 +112,17 @@ flags (all optional):
   --progress-events=N        stderr heartbeat every N simulator events
 )";
 
-/// Prints the per-client summary table shared by both runtimes; returns
-/// the number of clients whose minimum per-period completions met their
-/// reservation.
+/// Prints the per-client summary table shared by every path (with a tenant
+/// column when `tenants` is given); returns the number of clients whose
+/// minimum per-period completions met their reservation.
 int PrintClientTable(const stats::PeriodSeries& series,
                      const std::vector<std::int64_t>& reservations,
-                     std::size_t periods, double scale) {
-  stats::Table table({"client", "reservation", "mean/period", "min/period",
-                      "SLO"});
+                     std::size_t periods, double scale,
+                     const std::vector<std::size_t>& tenants = {}) {
+  std::vector<std::string> header = {"client", "reservation", "mean/period",
+                                     "min/period", "SLO"};
+  if (!tenants.empty()) header.insert(header.begin() + 1, "tenant");
+  stats::Table table(std::move(header));
   int met = 0;
   for (std::uint32_t c = 0; c < reservations.size(); ++c) {
     const auto id = MakeClientId(c);
@@ -132,31 +134,72 @@ int PrintClientTable(const stats::PeriodSeries& series,
     auto norm = [&](double v) {
       return stats::Table::Num(v / 1e3 / scale);
     };
-    table.AddRow({"C" + std::to_string(c + 1),
-                  norm(static_cast<double>(reservations[c])), norm(mean),
-                  norm(static_cast<double>(min)), ok ? "met" : "MISSED"});
+    std::vector<std::string> row = {
+        "C" + std::to_string(c + 1),
+        norm(static_cast<double>(reservations[c])), norm(mean),
+        norm(static_cast<double>(min)), ok ? "met" : "MISSED"};
+    if (!tenants.empty()) {
+      row.insert(row.begin() + 1, "T" + std::to_string(tenants[c]));
+    }
+    table.AddRow(std::move(row));
   }
   table.Print();
   return met;
 }
 
-/// Controller summary goes to stderr next to the watchdog line (stdout
-/// stays byte-identical with and without the control plane).
-void PrintControllerSummary(const core::control::QosController* controller) {
-  if (controller == nullptr) return;
-  const auto& s = controller->stats();
-  const std::string policy{core::control::ToString(controller->policy())};
-  std::fprintf(
-      stderr,
-      "controller: policy=%s, %llu alert(s) -> %llu resize(s), "
-      "%llu eta-scaling(s), %llu forced conversion(s), %llu readmit(s); "
-      "%llu recovery(ies)\n",
-      policy.c_str(), static_cast<unsigned long long>(s.alerts),
-      static_cast<unsigned long long>(s.resizes),
-      static_cast<unsigned long long>(s.eta_scalings),
-      static_cast<unsigned long long>(s.forced_conversions),
-      static_cast<unsigned long long>(s.readmits),
-      static_cast<unsigned long long>(s.recoveries));
+/// The run footer shared by every path. The series CSV line (when asked)
+/// and the trace line go to stdout (CSV traces are haechi_audit's input;
+/// .json is for ui.perfetto.dev); the watchdog and controller summaries go
+/// to stderr, so stdout stays byte-identical with and without them.
+/// Returns the exit code: 1 when the series CSV cannot be written.
+template <typename Builder>
+int PrintRunFooter(Builder& experiment, const stats::PeriodSeries* series,
+                   const std::string& csv_path, const std::string& trace_path,
+                   const std::string& alerts_out) {
+  if (series != nullptr && !csv_path.empty()) {
+    const Status s = stats::SeriesToCsv(*series).WriteFile(csv_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("per-period series written to %s\n", csv_path.c_str());
+  }
+  if (!trace_path.empty()) {
+    if (trace_path.size() > 5 &&
+        trace_path.compare(trace_path.size() - 5, 5, ".json") == 0) {
+      std::printf("trace written to %s (open in ui.perfetto.dev)\n",
+                  trace_path.c_str());
+    } else {
+      std::printf(
+          "trace written to %s (audit with: haechi_audit --trace=%s)\n",
+          trace_path.c_str(), trace_path.c_str());
+    }
+  }
+  if (const obs::SloWatchdog* watchdog = experiment.watchdog()) {
+    std::fprintf(stderr,
+                 "watchdog: %zu alert(s) over %zu period(s), %zu critical%s%s\n",
+                 watchdog->alerts().size(), watchdog->periods_evaluated(),
+                 watchdog->CountAtLeast(obs::AlertSeverity::kCritical),
+                 alerts_out.empty() ? "" : ", written to ",
+                 alerts_out.c_str());
+  }
+  if (const core::control::QosController* controller =
+          experiment.controller()) {
+    const auto& s = controller->stats();
+    const std::string policy{core::control::ToString(controller->policy())};
+    std::fprintf(
+        stderr,
+        "controller: policy=%s, %llu alert(s) -> %llu resize(s), "
+        "%llu eta-scaling(s), %llu forced conversion(s), %llu readmit(s); "
+        "%llu recovery(ies)\n",
+        policy.c_str(), static_cast<unsigned long long>(s.alerts),
+        static_cast<unsigned long long>(s.resizes),
+        static_cast<unsigned long long>(s.eta_scalings),
+        static_cast<unsigned long long>(s.forced_conversions),
+        static_cast<unsigned long long>(s.readmits),
+        static_cast<unsigned long long>(s.recoveries));
+  }
+  return 0;
 }
 
 int Run(int argc, const char* const* argv) {
@@ -197,7 +240,8 @@ int Run(int argc, const char* const* argv) {
   }
 
   config.net.capacity_scale = flags.GetDouble("scale", 0.05);
-  config.warmup = Seconds(flags.GetInt("warmup-seconds", 2));
+  config.warmup = static_cast<SimDuration>(
+      flags.GetDouble("warmup-seconds", 2.0) * 1e9);
   config.measure_periods =
       static_cast<std::size_t>(flags.GetInt("periods", 8));
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
@@ -573,33 +617,23 @@ int Run(int argc, const char* const* argv) {
                 static_cast<double>(cap) /
                     static_cast<double>(cluster_nodes) / 1e3 / scale,
                 cluster_nodes, static_cast<double>(cap) / 1e3 / scale);
-    stats::Table table({"client", "tenant", "reservation", "mean/period",
-                        "min/period", "SLO"});
-    int met = 0;
-    for (std::uint32_t c = 0; c < run_cfg.clients.size(); ++c) {
-      const auto id = MakeClientId(c);
-      std::int64_t total = 0;
-      std::int64_t min = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t p = 0; p < periods; ++p) {
-        std::int64_t served = 0;
-        for (std::size_t d = 0; d < cluster_nodes; ++d) {
-          served += result.node_series[d].At(p, id);
+    // One series summed over the nodes, with each client's tenant.
+    stats::PeriodSeries served(run_cfg.clients.size());
+    std::vector<std::int64_t> admitted;
+    std::vector<std::size_t> tenants;
+    for (std::size_t p = 0; p < periods; ++p) {
+      served.BeginPeriod();
+      for (std::uint32_t c = 0; c < run_cfg.clients.size(); ++c) {
+        for (const auto& node_series : result.node_series) {
+          served.Add(MakeClientId(c), node_series.At(p, MakeClientId(c)));
         }
-        total += served;
-        min = std::min(min, served);
       }
-      const std::int64_t r = run_cfg.clients[c].reservation;
-      const bool ok = min >= r * 98 / 100;
-      met += ok;
-      auto norm = [&](double v) { return stats::Table::Num(v / 1e3 / scale); };
-      table.AddRow({"C" + std::to_string(c + 1),
-                    "T" + std::to_string(run_cfg.clients[c].tenant),
-                    norm(static_cast<double>(r)),
-                    norm(static_cast<double>(total) /
-                         static_cast<double>(periods)),
-                    norm(static_cast<double>(min)), ok ? "met" : "MISSED"});
     }
-    table.Print();
+    for (const auto& spec : run_cfg.clients) {
+      admitted.push_back(spec.reservation);
+      tenants.push_back(spec.tenant);
+    }
+    const int met = PrintClientTable(served, admitted, periods, scale, tenants);
     std::printf("\ntotal %.0f KIOPS; reservations met %d/%zu\n",
                 result.total_kiops / scale, met, run_cfg.clients.size());
     std::printf("coordinator: %llu rebalances moved %llu tokens (%llu "
@@ -617,23 +651,8 @@ int Run(int argc, const char* const* argv) {
                 static_cast<long long>(result.borrow_outstanding),
                 static_cast<unsigned long long>(
                     result.cluster_stats.stale_reports));
-    if (!trace_path_flag.empty()) {
-      std::printf(
-          "trace written to %s (audit with: haechi_audit --trace=%s)\n",
-          trace_path_flag.c_str(), trace_path_flag.c_str());
-    }
-#if HAECHI_WATCHDOG_ENABLED
-    if (obs::SloWatchdog* watchdog = experiment.watchdog()) {
-      std::fprintf(
-          stderr,
-          "watchdog: %zu alert(s) over %zu period(s), %zu critical%s%s\n",
-          watchdog->alerts().size(), watchdog->periods_evaluated(),
-          watchdog->CountAtLeast(obs::AlertSeverity::kCritical),
-          alerts_out.empty() ? "" : ", written to ", alerts_out.c_str());
-    }
-    PrintControllerSummary(experiment.controller());
-#endif
-    return 0;
+    return PrintRunFooter(experiment, nullptr, "", trace_path_flag,
+                          alerts_out);
   }
 
   const std::string runtime = flags.GetString("runtime", "sim");
@@ -645,6 +664,12 @@ int Run(int argc, const char* const* argv) {
                  "--monitor-crash-at with --runtime=threads requires "
                  "--monitor-recover-at\n");
     return 2;
+  }
+  if (flags.Has("monitor-crash-at")) {
+    config.faults.MonitorCrashAt(0, FromSeconds(monitor_crash_sec),
+                                 flags.Has("monitor-recover-at")
+                                     ? FromSeconds(monitor_recover_sec)
+                                     : kSimTimeMax);
   }
   const std::int64_t shards = flags.GetInt("shards", 1);
   const std::int64_t workers = flags.GetInt("workers", 0);
@@ -671,6 +696,15 @@ int Run(int argc, const char* const* argv) {
                    "--runtime=threads does not support --background-pct\n");
       return 2;
     }
+    // The threaded worker loop only reads, draining each period's demand
+    // as fast as tokens allow: a write mix or a request pattern would be
+    // silently ignored.
+    if (flags.Has("write-fraction") || flags.Has("pattern")) {
+      std::fprintf(stderr,
+                   "--runtime=threads does not support --write-fraction "
+                   "or --pattern\n");
+      return 2;
+    }
 #if HAECHI_WATCHDOG_ENABLED
     // The live watchdog (and the controller riding it) runs on threads too:
     // the recorder tap is serialised through a mutex. The status line stays
@@ -679,22 +713,11 @@ int Run(int argc, const char* const* argv) {
     // the live tap free of the status callback.
     if (status_interval > 0) config.trace.enabled = true;
     config.watchdog.status_interval = 0;
-#else
-    if (!alerts_out.empty() || status_interval > 0) {
-      std::fprintf(stderr,
-                   "warning: built with HAECHI_WATCHDOG=OFF; "
-                   "--alerts-out/--status-interval are ignored\n");
-    }
-    config.watchdog = {};
 #endif
     // The threaded fabric has no analytic model: feed it the sim model's
     // calibrated capacities so both runtimes run the same token budget.
     config.profiled_global_iops = config.net.GlobalCapacityIops();
     config.profiled_local_iops = config.net.LocalCapacityIops();
-    if (flags.Has("monitor-crash-at")) {
-      config.faults.MonitorCrashAt(0, FromSeconds(monitor_crash_sec),
-                                   FromSeconds(monitor_recover_sec));
-    }
     harness::ThreadedExperiment experiment(std::move(config));
     harness::ThreadedExperimentResult result = experiment.Run();
 
@@ -712,15 +735,6 @@ int Run(int argc, const char* const* argv) {
       }
       (void)watchdog.Finish();
     }
-    if (obs::SloWatchdog* watchdog = experiment.watchdog()) {
-      std::fprintf(
-          stderr,
-          "watchdog: %zu alert(s) over %zu period(s), %zu critical%s%s\n",
-          watchdog->alerts().size(), watchdog->periods_evaluated(),
-          watchdog->CountAtLeast(obs::AlertSeverity::kCritical),
-          alerts_out.empty() ? "" : ", written to ", alerts_out.c_str());
-    }
-    PrintControllerSummary(experiment.controller());
 #endif
 
     std::printf("mode=%s runtime=threads shards=%lld fetch-batch=%lld "
@@ -736,34 +750,14 @@ int Run(int argc, const char* const* argv) {
                 "wall %.2fs\n",
                 result.total_kiops / scale, met, result.reservations.size(),
                 ToSeconds(result.wall_time));
-    if (!csv_path_flag.empty()) {
-      const Status s =
-          stats::SeriesToCsv(result.series).WriteFile(csv_path_flag);
-      if (!s.ok()) {
-        std::fprintf(stderr, "csv export failed: %s\n",
-                     s.ToString().c_str());
-        return 1;
-      }
-      std::printf("per-period series written to %s\n", csv_path_flag.c_str());
-    }
-    if (!trace_path_flag.empty()) {
-      std::printf(
-          "trace written to %s (audit with: haechi_audit --trace=%s)\n",
-          trace_path_flag.c_str(), trace_path_flag.c_str());
-    }
-    return 0;
+    return PrintRunFooter(experiment, &result.series, csv_path_flag,
+                          trace_path_flag, alerts_out);
   }
   if (runtime != "sim") {
     std::fprintf(stderr, "unknown --runtime=%s\n%s", runtime.c_str(), kUsage);
     return 2;
   }
 
-  if (flags.Has("monitor-crash-at")) {
-    config.faults.MonitorCrashAt(0, FromSeconds(monitor_crash_sec),
-                                 flags.Has("monitor-recover-at")
-                                     ? FromSeconds(monitor_recover_sec)
-                                     : kSimTimeMax);
-  }
   harness::Experiment experiment(std::move(config));
   const std::int64_t progress_events = flags.GetInt("progress-events", 0);
   if (progress_events > 0) {
@@ -786,42 +780,8 @@ int Run(int argc, const char* const* argv) {
               result.total_kiops / scale, met, reservations.size(),
               static_cast<unsigned long long>(result.events_run));
 
-  const std::string csv_path = csv_path_flag;
-  if (!csv_path.empty()) {
-    const Status s = stats::SeriesToCsv(result.series).WriteFile(csv_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("per-period series written to %s\n", csv_path.c_str());
-  }
-  const std::string trace_path = flags.GetString("trace-out", "");
-  if (!trace_path.empty()) {
-    // The audit consumes the CSV form; .json is for ui.perfetto.dev.
-    if (trace_path.size() > 5 &&
-        trace_path.compare(trace_path.size() - 5, 5, ".json") == 0) {
-      std::printf("trace written to %s (open in ui.perfetto.dev)\n",
-                  trace_path.c_str());
-    } else {
-      std::printf(
-          "trace written to %s (audit with: haechi_audit --trace=%s)\n",
-          trace_path.c_str(), trace_path.c_str());
-    }
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  // Watchdog summary goes to stderr: stdout stays byte-identical with and
-  // without the watchdog, so plot scripts never see it.
-  if (obs::SloWatchdog* watchdog = experiment.watchdog()) {
-    std::fprintf(stderr,
-                 "watchdog: %zu alert(s) over %zu period(s), %zu critical%s%s\n",
-                 watchdog->alerts().size(), watchdog->periods_evaluated(),
-                 watchdog->CountAtLeast(obs::AlertSeverity::kCritical),
-                 alerts_out.empty() ? "" : ", written to ",
-                 alerts_out.c_str());
-  }
-  PrintControllerSummary(experiment.controller());
-#endif
-  return 0;
+  return PrintRunFooter(experiment, &result.series, csv_path_flag,
+                        trace_path_flag, alerts_out);
 }
 
 }  // namespace

@@ -8,82 +8,32 @@
 #
 #   tools/run_ctest_matrix.sh              # the whole matrix
 #   tools/run_ctest_matrix.sh asan         # one preset
-#   tools/run_ctest_matrix.sh tsan-runtime # focused entry: the tsan preset
-#                                          # restricted to the concurrent
-#                                          # runtime tests (runtime_diff,
-#                                          # runtime_stress,
-#                                          # runtime_property) — the quick
-#                                          # gate for src/runtime changes
+#   tools/run_ctest_matrix.sh asan-<label> tsan-<label>
+#       focused entries: the asan/tsan preset restricted to one ctest label
+#       (tests/CMakeLists.txt), the quick gate for changes in that area:
+#         runtime        src/runtime (runtime_diff, _stress, _property)
+#         cluster        src/cluster (cluster_test, cluster_property_test)
+#         controller     src/core/control (controller_test)
+#         survivability  monitor crash-recovery, degraded mode, membership
+#                        and failover (survivability_test, chaos_test; tsan
+#                        covers the threaded Crash/Recover races)
+#         monitor        core::MonitorCore and its sim/threaded adapters
+#         engine         core::EngineCore and its sim/threaded adapters
+#         harness        the run plane and the three experiment builders
+#                        (harness, integration, cluster, runtime_diff,
+#                        trace and run_plane tests, and the haechi_sim
+#                        flag matrix)
 #   tools/run_ctest_matrix.sh tsan-runtime-sharded
-#                                          # tighter still: only the
-#                                          # sharded-pool / batched-fetch /
-#                                          # rebalance tests under tsan —
-#                                          # the gate for pool-shard and
-#                                          # fetch-batch changes
-#   tools/run_ctest_matrix.sh asan-cluster tsan-cluster
-#                                          # focused entries: the asan/tsan
-#                                          # presets restricted to the
-#                                          # cluster suites (cluster_test,
-#                                          # cluster_property_test) — the
-#                                          # quick gate for src/cluster
-#                                          # changes
-#   tools/run_ctest_matrix.sh asan-controller tsan-controller
-#                                          # focused entries: the asan/tsan
-#                                          # presets restricted to the
-#                                          # closed-loop control suite
-#                                          # (controller_test) — the quick
-#                                          # gate for src/core/control
-#                                          # changes
-#   tools/run_ctest_matrix.sh asan-survivability tsan-survivability
-#                                          # focused entries: the asan/tsan
-#                                          # presets restricted to the
-#                                          # survivability suites
-#                                          # (survivability_test,
-#                                          # chaos_test) — the gate for
-#                                          # monitor crash-recovery,
-#                                          # degraded-mode and membership/
-#                                          # failover changes (tsan covers
-#                                          # the threaded Crash/Recover
-#                                          # races)
-#   tools/run_ctest_matrix.sh asan-monitor tsan-monitor
-#                                          # focused entries: the asan/tsan
-#                                          # presets restricted to the
-#                                          # monitor-labelled suites
-#                                          # (monitor_test,
-#                                          # monitor_core_test,
-#                                          # runtime_diff_test,
-#                                          # survivability_test,
-#                                          # controller_test) — the gate
-#                                          # for the shared monitor core
-#                                          # and its sim/threaded adapters
-#   tools/run_ctest_matrix.sh asan-engine tsan-engine
-#                                          # focused entries: the asan/tsan
-#                                          # presets restricted to the
-#                                          # engine-labelled suites
-#                                          # (engine_test,
-#                                          # engine_core_test,
-#                                          # resilience_test,
-#                                          # runtime_diff_test,
-#                                          # runtime_property_test,
-#                                          # survivability_test) — the
-#                                          # gate for the shared engine
-#                                          # core and its sim/threaded
-#                                          # adapters
-#   tools/run_ctest_matrix.sh asan-sim      # focused entry: the asan
-#                                          # preset restricted to the
-#                                          # simulated I/O path (sim,
-#                                          # station, rdma, fabric_stress,
-#                                          # fault_injection, chaos and
-#                                          # alloc tests) — the gate for
-#                                          # src/sim, src/net, src/rdma
-#                                          # and op-record pool changes
+#       tighter than tsan-runtime: only the sharded-pool / batched-fetch /
+#       rebalance tests — the gate for pool-shard and fetch-batch changes
+#   tools/run_ctest_matrix.sh asan-sim
+#       the asan preset restricted to the simulated I/O path (sim, station,
+#       rdma, fabric_stress, fault_injection, chaos and alloc tests) — the
+#       gate for src/sim, src/net, src/rdma and op-record pool changes
 #   tools/run_ctest_matrix.sh trace-spans notrace
-#                                          # the span-pipeline gate: the
-#                                          # trace preset restricted to the
-#                                          # span-labelled suites
-#                                          # (trace_test, span_test), then
-#                                          # the notrace preset proving the
-#                                          # whole pipeline compiles out
+#       the span-pipeline gate: the trace preset restricted to the span
+#       suites (trace_test, span_test), then the notrace preset proving the
+#       whole pipeline compiles out
 #   JOBS=8 tools/run_ctest_matrix.sh       # override parallelism
 #   CTEST_TIMEOUT=900 tools/run_ctest_matrix.sh
 #                                          # override the per-test timeout
@@ -108,53 +58,25 @@ fi
 JOBS="${JOBS:-$(nproc)}"
 
 for preset in "${PRESETS[@]}"; do
-  # tsan-runtime is a focused alias, not a CMake preset: build the tsan
-  # preset but run only the concurrent-runtime tests.
+  # Focused entries are aliases, not CMake presets: build the asan/tsan/
+  # trace preset but run only part of the suite. `asan-<label>` and
+  # `tsan-<label>` select a ctest label (tsan-runtime, asan-harness, ...).
   config_preset="$preset"
   ctest_args=()
-  if [[ "$preset" == "tsan-runtime" ]]; then
-    config_preset=tsan
-    ctest_args=(-L runtime)
-  elif [[ "$preset" == "tsan-runtime-sharded" ]]; then
-    config_preset=tsan
-    ctest_args=(-R 'Shard|Rebalance|BatchedFetch')
-  elif [[ "$preset" == "asan-cluster" ]]; then
-    config_preset=asan
-    ctest_args=(-L cluster)
-  elif [[ "$preset" == "tsan-cluster" ]]; then
-    config_preset=tsan
-    ctest_args=(-L cluster)
-  elif [[ "$preset" == "asan-controller" ]]; then
-    config_preset=asan
-    ctest_args=(-L controller)
-  elif [[ "$preset" == "tsan-controller" ]]; then
-    config_preset=tsan
-    ctest_args=(-L controller)
-  elif [[ "$preset" == "asan-survivability" ]]; then
-    config_preset=asan
-    ctest_args=(-L survivability)
-  elif [[ "$preset" == "tsan-survivability" ]]; then
-    config_preset=tsan
-    ctest_args=(-L survivability)
-  elif [[ "$preset" == "asan-monitor" ]]; then
-    config_preset=asan
-    ctest_args=(-L monitor)
-  elif [[ "$preset" == "tsan-monitor" ]]; then
-    config_preset=tsan
-    ctest_args=(-L monitor)
-  elif [[ "$preset" == "asan-engine" ]]; then
-    config_preset=asan
-    ctest_args=(-L engine)
-  elif [[ "$preset" == "tsan-engine" ]]; then
-    config_preset=tsan
-    ctest_args=(-L engine)
-  elif [[ "$preset" == "asan-sim" ]]; then
-    config_preset=asan
-    ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.')
-  elif [[ "$preset" == "trace-spans" ]]; then
-    config_preset=trace
-    ctest_args=(-L span)
-  fi
+  case "$preset" in
+    tsan-runtime-sharded)
+      config_preset=tsan
+      ctest_args=(-R 'Shard|Rebalance|BatchedFetch') ;;
+    asan-sim)
+      config_preset=asan
+      ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.') ;;
+    trace-spans)
+      config_preset=trace
+      ctest_args=(-L span) ;;
+    asan-* | tsan-*)
+      config_preset="${preset%%-*}"
+      ctest_args=(-L "${preset#*-}") ;;
+  esac
   echo "==== [$preset] configure ===="
   cmake --preset "$config_preset"
   echo "==== [$preset] build ===="
