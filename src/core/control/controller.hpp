@@ -94,7 +94,7 @@ struct ControllerConfig {
   /// recovered (these rules re-alert every violating period).
   std::uint32_t quiet_periods = 1;
   /// Clean periods before W5 counts as recovered. W5 only alerts every
-  /// `oscillation_flips` periods while oscillating, so this must exceed
+  /// obs::kOscillationFlips periods while oscillating, so this must exceed
   /// the watchdog's flip window to avoid declaring recovery mid-cycle.
   std::uint32_t oscillation_quiet = 6;
   /// Quiet periods after the last W5 alert before the eta damping is

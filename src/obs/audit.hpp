@@ -10,13 +10,17 @@
 //   A1 stream integrity   per-actor seqs dense from 0, times non-decreasing
 //   A2 dispatch identity  initial_pool == max(capacity - dispatched, 0)
 //   A3 pool monotonicity  the pool word only moves down between monitor
-//                         writes (clients can only FAA-subtract)
+//                         writes (clients can only FAA-subtract), and the
+//                         monitor's own granted claim at period end equals
+//                         the grant total its pool observations derive
 //   A4 conversion bound   every converted pool value respects the paper's
 //                         time budget C*(T-t)/T (replayed in integer math)
 //   A5 FAA conservation   pool decrease == B * (applied fetches); exact per
 //                         period on fault-free traces, bounded by
 //                         B*(done+discard) <= granted <= B*(posted+dups)
-//                         when transport faults can lose completions
+//                         when transport faults can lose completions (the
+//                         lower bound leaves out fetches a monitor outage
+//                         orphaned)
 //   A6 decay bound        tokens a client surrenders to decay never exceed
 //                         the reservation it was granted
 //   A7 report sanity      report seqs strictly increase and completed
@@ -58,14 +62,16 @@
 //                          reservation — joins, leaves and promotions move
 //                          reservation, never mint or destroy it
 //
-// A failed check is a Violation; ok() == violations.empty().
+// A1..A4 and A9 are the shared identity checkers of obs/identities.hpp,
+// which the live watchdog (obs/slo.hpp) runs too; the audit formats their
+// findings. A failed check is a Violation; ok() == violations.empty().
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "obs/identities.hpp"
 #include "obs/trace.hpp"
 
 namespace haechi::obs {
@@ -85,25 +91,6 @@ struct AuditViolation {
   std::string detail;  // human-readable, with period/client/values
 };
 
-/// The ledger the audit re-derives for one QoS period, from events alone.
-/// Cluster traces produce one entry per (node, period).
-struct AuditPeriod {
-  std::uint32_t node = 0;  // monitor actor (data node); 0 on single-node
-  std::uint32_t period = 0;
-  SimTime start_time = 0;
-  std::int64_t capacity = 0;
-  std::int64_t dispatched = 0;    // sum of reservations pushed
-  std::int64_t initial_pool = 0;
-  std::int64_t granted = 0;       // pool decrease attributed to FAAs
-  std::int64_t minted = 0;        // net pool movement by conversions
-  std::int64_t end_pool = 0;
-  std::int64_t completed = 0;     // monitor's calibrated total
-  std::int64_t faa_done = 0;      // successful fetches tagged this period
-  bool closed = false;            // saw kMonitorPeriodEnd
-  bool reporting = false;         // S2 fired / Algorithm 1 ran
-  bool measured = false;          // fully inside the measurement window
-};
-
 struct AuditReport {
   std::vector<AuditViolation> violations;
   std::vector<AuditPeriod> periods;
@@ -113,7 +100,6 @@ struct AuditReport {
   /// True when the trace carries a harness kClusterConfig row; C1..C3 ran
   /// and the per-period ledger is per (node, period).
   bool cluster = false;
-  std::uint32_t data_nodes = 1;
   int checks_run = 0;
   int guarantee_checks = 0;  // (client, period) pairs A9 evaluated
   int control_checks = 0;    // (node, period) pairs A10 evaluated

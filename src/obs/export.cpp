@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <string_view>
 
 #include "obs/span.hpp"
@@ -231,6 +232,14 @@ Result<std::vector<TraceEvent>> ParseCsvTrace(const std::string& text) {
         !ParseInt(fields[8], e.c) || actor < 0 || seq < 0 || period < 0) {
       return ErrInvalidArgument("trace CSV: malformed number on line " +
                                 std::to_string(line_no));
+    }
+    // Actor and period are 32-bit in the record; a wider value would
+    // silently alias another stream or period.
+    constexpr std::int64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+    if (actor > kMax32 || period > kMax32) {
+      return ErrInvalidArgument(
+          std::string("trace CSV: ") + (actor > kMax32 ? "actor" : "period") +
+          " out of range on line " + std::to_string(line_no));
     }
     if (!ActorKindFromName(fields[1], e.actor_kind)) {
       return ErrInvalidArgument("trace CSV: unknown actor kind on line " +

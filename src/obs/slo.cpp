@@ -1,26 +1,10 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <limits>
+#include <cmath>
+#include <string_view>
 
 namespace haechi::obs {
-
-namespace {
-
-constexpr SimTime kTimeMax = std::numeric_limits<SimTime>::max();
-
-std::string Fmt(const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return buf;
-}
-
-}  // namespace
 
 std::string FormatStatusLine(const PeriodStatus& status) {
   std::string line =
@@ -48,26 +32,6 @@ std::string FormatStatusLine(const PeriodStatus& status) {
   line += Fmt(" | alerts +%zu/%zu", status.period_alerts,
               status.total_alerts);
   return line;
-}
-
-std::int64_t SloWatchdog::ClientState::ReservationAt(SimTime t) const {
-  std::int64_t r = spec_reservation;
-  for (const auto& [at, res] : admits) {
-    if (at <= t) r = res;
-  }
-  return r;
-}
-
-bool SloWatchdog::ClientState::DepartedBy(SimTime t) const {
-  SimTime last_departure = -1;
-  for (const SimTime at : departures) {
-    if (at <= t) last_departure = std::max(last_departure, at);
-  }
-  if (last_departure < 0) return false;
-  for (const auto& [at, res] : admits) {
-    if (at >= last_departure && at <= t) return false;  // readmitted
-  }
-  return true;
 }
 
 SloWatchdog::SloWatchdog(WatchdogOptions options) : options_(options) {}
@@ -102,41 +66,23 @@ std::string SloWatchdog::FaultCause(const char* healthy_cause) const {
   return healthy_cause;
 }
 
-void SloWatchdog::ObservePool(const TraceEvent& event, std::int64_t value) {
-  if (!have_pool_ || !period_open_) return;
-  const std::int64_t drop = last_pool_ - value;
-  if (drop < 0) {
-    Raise({AlertKind::kPoolConservation, AlertSeverity::kCritical,
-           event.time, cur_.period, -1, last_pool_, value,
-           Fmt("pool rose without a monitor write (%s)",
-               std::string(ToString(event.type)).c_str())});
-  } else {
-    cur_.derived_granted += drop;
-  }
-  last_pool_ = value;
-}
-
-void SloWatchdog::CheckSeq(const TraceEvent& e) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(e.actor_kind) << 32) | e.actor;
-  const auto [it, fresh] = last_seq_.try_emplace(key, e.seq);
-  std::uint64_t expected = e.seq;
-  if (fresh) {
-    // A stream must start at seq 0; a higher first seq means the ring
-    // already wrapped before export.
-    expected = 0;
-  } else {
-    expected = it->second + 1;
-    it->second = e.seq;
-  }
-  if (e.seq != expected && !truncation_alerted_) {
+void SloWatchdog::OnFinding(const Finding& f) {
+  const TraceEvent& e = *f.event;
+  if (std::string_view(f.check) == "A1") {
+    // A1: only lost events alert (time order is the auditor's job), once.
+    if (!f.lost_events || truncation_alerted_) return;
     truncation_alerted_ = true;
     Raise({AlertKind::kTraceTruncation, AlertSeverity::kWarning, e.time,
-           e.period, -1, static_cast<std::int64_t>(expected),
-           static_cast<std::int64_t>(e.seq),
+           e.period, -1, f.expected, f.observed,
            "per-actor seq gap: the recorder ring wrapped and events were "
            "lost before export"});
+    return;
   }
+  // W3 names the data node only off node 0, so single-node alerts keep
+  // their original wording.
+  Raise({AlertKind::kPoolConservation, AlertSeverity::kCritical, e.time,
+         f.period, -1, f.expected, f.observed,
+         e.actor == 0 ? f.what : Fmt("%s (node %u)", f.what.c_str(), e.actor)});
 }
 
 void SloWatchdog::NotifyTruncation(SimTime time) {
@@ -149,94 +95,33 @@ void SloWatchdog::NotifyTruncation(SimTime time) {
 }
 
 void SloWatchdog::OnEvent(const TraceEvent& e) {
-  CheckSeq(e);
-  // Cluster traces carry one monitor stream per data node; the watchdog's
-  // single pool state machine follows node 0 and leaves cross-node
-  // invariants to the offline auditor's C checks.
-  if (cluster_mode_ && e.actor_kind == ActorKind::kMonitor && e.actor != 0) {
+  stream_.Observe(e, sink_);
+  // The shared checkers see every harness and monitor event (W3 on every
+  // data node); the watchdog's own telemetry follows node 0's monitor and
+  // the engines bound to it.
+  const AuditPeriod* closed = nullptr;
+  if (e.actor_kind == ActorKind::kMonitor) {
+    facts_.Observe(e);
+    closed = ledger_.Observe(e, facts_, sink_);
+    if (e.actor != 0) return;
+  } else if (e.actor_kind == ActorKind::kHarness) {
+    facts_.Observe(e);
+  } else if (e.actor_kind == ActorKind::kEngine && !facts_.bindings.empty() &&
+             facts_.EngineNode(e.actor) != 0) {
     return;
   }
-  if (cluster_mode_ && e.actor_kind == ActorKind::kEngine) {
-    const auto bound = engine_nodes_.find(e.actor);
-    if (bound != engine_nodes_.end() && bound->second != 0) return;
-  }
   switch (e.type) {
-    // --- harness: run configuration and scripted chaos -------------------
-    case EventType::kRunConfig:
-      have_harness_ = true;
-      period_len_ = e.a;
-      token_batch_ = e.b;
-      break;
-    case EventType::kClientSpec: {
-      have_harness_ = true;
-      ClientState& client = clients_[e.actor];
-      client.spec_reservation = e.a;
-      client.spec_limit = e.b;
-      client.spec_demand = e.c;
-      break;
-    }
-    case EventType::kMeasureStart:
-      have_harness_ = true;
-      measure_start_ = e.time;
-      break;
-    case EventType::kMeasureEnd:
-      have_harness_ = true;
-      measure_end_ = e.time;
-      break;
-    case EventType::kClientCrash:
-      have_harness_ = true;
-      run_faulted_ = true;
-      cur_.faulted = true;
-      clients_[e.actor].crash_windows.emplace_back(e.time, kTimeMax);
-      break;
-    case EventType::kClientRestart: {
-      have_harness_ = true;
-      auto& windows = clients_[e.actor].crash_windows;
-      if (!windows.empty() && windows.back().second == kTimeMax) {
-        windows.back().second = e.time;
-      }
-      break;
-    }
-    case EventType::kClusterConfig:
-      have_harness_ = true;
-      cluster_mode_ = true;
-      break;
-    case EventType::kEngineBinding:
-      have_harness_ = true;
-      engine_nodes_[e.actor] = static_cast<std::uint32_t>(e.b);
-      break;
-
     // --- monitor: period boundaries and the token pool -------------------
     case EventType::kMonitorPeriodStart: {
-      if (period_len_ == 0 && prev_period_start_ >= 0) {
-        period_len_ = e.time - prev_period_start_;
-      }
-      prev_period_start_ = e.time;
+      // Fault context persists across the boundary for annotation: a fault
+      // window rarely aligns with period edges.
       const bool was_faulted = cur_.faulted && period_open_;
       cur_ = PeriodState{};
       cur_.period = e.period;
-      cur_.start_time = e.time;
-      cur_.capacity = e.a;
-      cur_.dispatched = e.b;
-      cur_.initial_pool = e.c;
-      // Fault context persists across the boundary for annotation: a fault
-      // window rarely aligns with period edges.
       cur_.faulted = was_faulted;
       period_open_ = true;
-      if (e.c != std::max<std::int64_t>(e.a - e.b, 0)) {
-        Raise({AlertKind::kPoolConservation, AlertSeverity::kCritical,
-               e.time, e.period, -1, std::max<std::int64_t>(e.a - e.b, 0),
-               e.c,
-               "initial pool breaks the dispatch identity "
-               "max(capacity - dispatched, 0)"});
-      }
-      last_pool_ = e.c;
-      have_pool_ = true;
       break;
     }
-    case EventType::kPoolSample:
-      ObservePool(e, e.a);
-      break;
     case EventType::kShardSample:
       // Per-shard occupancy for the status line; the summed kPoolSample in
       // the same check tick drives the conservation math.
@@ -244,151 +129,73 @@ void SloWatchdog::OnEvent(const TraceEvent& e) {
         cur_.shard_pools[static_cast<std::uint32_t>(e.a)] = e.b;
       }
       break;
-    case EventType::kPoolBorrowOut:
-    case EventType::kPoolBorrowIn:
-      // Coordinator-driven pool moves: any drop since the last write is
-      // client grants; the move itself (a -> b) is ledgered as a loan, so
-      // it must not count as a grant or trip conservation.
-      ObservePool(e, e.a);
-      last_pool_ = e.b;
-      if (period_open_) cur_.borrow_credit += e.b - e.a;
-      break;
     case EventType::kBorrowRequest:
       if (period_open_) ++cur_.borrow_requests;
       break;
     case EventType::kBorrowGrant:
-      if (period_open_) cur_.borrow_granted += e.b;
+      if (period_open_) cur_.borrow_granted = SatAdd(cur_.borrow_granted, e.b);
       break;
     case EventType::kBorrowRepay:
-      if (period_open_) cur_.borrow_repaid += e.b;
+      if (period_open_) cur_.borrow_repaid = SatAdd(cur_.borrow_repaid, e.b);
       break;
-    case EventType::kTokenConvert: {
-      ObservePool(e, e.a);
+    case EventType::kTokenConvert:
       if (!period_open_) break;
       ++cur_.conversions;
       cur_.max_converted_pool = std::max(cur_.max_converted_pool, e.b);
-      last_pool_ = e.b;
-      if (period_len_ > 0) {
-        const SimDuration left = std::max<SimDuration>(
-            period_len_ - (e.time - cur_.start_time), 0);
-        const auto budget = static_cast<std::int64_t>(
-            static_cast<__int128>(cur_.capacity) * left / period_len_);
-        const std::int64_t allowed =
-            std::max<std::int64_t>(budget, 0) +
-            std::max<std::int64_t>(cur_.borrow_credit, 0);
-        if (e.b > allowed) {
-          Raise({AlertKind::kPoolConservation, AlertSeverity::kCritical,
-                 e.time, cur_.period, -1, allowed, e.b,
-                 "conversion wrote above the C*(T-t)/T time budget "
-                 "(plus any absorbed borrow credit)"});
+      break;
+    case EventType::kCapacityEstimate: {
+      // W5: Algorithm 1 oscillation — consecutive significant
+      // sign-alternating estimate moves.
+      const std::int64_t estimate = e.b;
+      if (last_estimate_ >= 0) {
+        const std::int64_t delta = SatSub(estimate, last_estimate_);
+        const int sign = delta > 0 ? 1 : (delta < 0 ? -1 : 0);
+        const bool significant =
+            std::fabs(static_cast<double>(delta)) >=
+            kOscillationAmplitude *
+                static_cast<double>(std::max<std::int64_t>(last_estimate_, 1));
+        if (sign != 0 && significant && sign == -last_delta_sign_) {
+          ++flips_;
+        } else {
+          flips_ = sign != 0 && significant ? 1 : 0;
+        }
+        if (sign != 0) last_delta_sign_ = sign;
+        if (flips_ >= kOscillationFlips) {
+          Raise({AlertKind::kCapacityOscillation, AlertSeverity::kWarning,
+                 e.time, e.period, -1, last_estimate_, estimate,
+                 Fmt("capacity estimate alternated direction %d periods "
+                     "running (Algorithm 1 hunting)",
+                     flips_)});
+          flips_ = 0;
         }
       }
+      last_estimate_ = estimate;
       break;
     }
-    case EventType::kClientPeriodReport:
-      if (period_open_ && e.period == cur_.period) {
-        cur_.reports[static_cast<std::uint32_t>(e.a)] = {e.b, e.c};
-      }
-      break;
-    case EventType::kReportSignal:
-    case EventType::kCapacityEstimate:
-      if (period_open_ && e.period == cur_.period) cur_.reporting = true;
-      if (e.type == EventType::kCapacityEstimate) {
-        // W5: Algorithm 1 oscillation — consecutive significant
-        // sign-alternating estimate moves.
-        const std::int64_t estimate = e.b;
-        if (last_estimate_ >= 0) {
-          const std::int64_t delta = estimate - last_estimate_;
-          const int sign = delta > 0 ? 1 : (delta < 0 ? -1 : 0);
-          const bool significant =
-              static_cast<double>(delta > 0 ? delta : -delta) >=
-              options_.oscillation_amplitude *
-                  static_cast<double>(std::max<std::int64_t>(last_estimate_,
-                                                             1));
-          if (sign != 0 && significant && sign == -last_delta_sign_) {
-            ++flips_;
-          } else {
-            flips_ = sign != 0 && significant ? 1 : 0;
-          }
-          if (sign != 0) last_delta_sign_ = sign;
-          if (flips_ >= options_.oscillation_flips) {
-            Raise({AlertKind::kCapacityOscillation, AlertSeverity::kWarning,
-                   e.time, e.period, -1, last_estimate_, estimate,
-                   Fmt("capacity estimate alternated direction %d periods "
-                       "running (Algorithm 1 hunting)",
-                       flips_)});
-            flips_ = 0;
-          }
-        }
-        last_estimate_ = estimate;
-      }
-      break;
-    case EventType::kMonitorPeriodEnd: {
-      ObservePool(e, e.a);
-      if (!period_open_ || e.period != cur_.period) break;
-      cur_.end_pool = e.a;
-      cur_.completed = e.b;
-      // Live ledger cross-check: the monitor stamps its own granted total
-      // into c. A zero can also mean a pre-watchdog trace, so only a
-      // nonzero claim is held against the stream-derived figure.
-      if (e.c > 0 && e.c != cur_.derived_granted) {
-        Raise({AlertKind::kPoolConservation, AlertSeverity::kCritical,
-               e.time, cur_.period, -1, cur_.derived_granted, e.c,
-               "monitor ledger granted diverges from the grant total "
-               "derived from pool observations"});
-      }
-      EvaluatePeriod(e);
+    case EventType::kMonitorPeriodEnd:
+      if (closed == nullptr) break;
+      EvaluatePeriod(*closed, e);
       period_open_ = false;
       break;
-    }
 
     // --- monitor: client membership --------------------------------------
-    case EventType::kAdmit:
-    case EventType::kReadmit: {
-      ClientState& client = clients_[static_cast<std::uint32_t>(e.a)];
-      client.admits.emplace_back(e.time, e.b);
-      client.admitted_limit = e.c;
-      break;
-    }
-    // A controller resize re-baselines the reservation W1/W2 judge against,
-    // exactly like a re-admission (b = the new reservation).
-    case EventType::kReservationUpdate:
-      clients_[static_cast<std::uint32_t>(e.a)].admits.emplace_back(e.time,
-                                                                    e.b);
-      break;
-    case EventType::kRelease:
-      clients_[static_cast<std::uint32_t>(e.a)].departures.push_back(e.time);
-      break;
     case EventType::kLeaseExpire: {
-      ClientState& client = clients_[static_cast<std::uint32_t>(e.a)];
-      client.departures.push_back(e.time);
-      ++client.lease_expiries;
-      Raise({AlertKind::kLeaseChurn,
-             cur_.faulted || run_faulted_ ? AlertSeverity::kInfo
-                                          : AlertSeverity::kWarning,
-             e.time, e.period, e.a, 0, client.lease_expiries,
+      const std::int64_t expiries =
+          ++lease_expiries_[static_cast<std::uint32_t>(e.a)];
+      Raise({AlertKind::kLeaseChurn, DistressSeverity(), e.time, e.period,
+             e.a, 0, expiries,
              FaultCause("report lease expired; client presumed dead")});
       break;
     }
 
     // --- monitor survivability (DESIGN.md §15) ----------------------------
     case EventType::kMonitorCrash:
-      run_faulted_ = true;
-      cur_.faulted = true;
-      ++monitor_crashes_;
-      monitor_outages_.emplace_back(e.time, kTimeMax);
       // The crashed period never sees its end event; the next
       // kMonitorPeriodStart (post-recovery) simply replaces cur_.
       Raise({AlertKind::kMonitorOutage, AlertSeverity::kWarning, e.time,
-             e.period, -1, 0, monitor_crashes_,
+             e.period, -1, 0, ++monitor_crashes_,
              "monitor crashed: provisioning down, clients fall back to "
              "reservation-only degraded pacing"});
-      break;
-    case EventType::kMonitorRecover:
-      if (!monitor_outages_.empty() &&
-          monitor_outages_.back().second == kTimeMax) {
-        monitor_outages_.back().second = e.time;
-      }
       break;
     case EventType::kDegradedEnter:
       Raise({AlertKind::kDegradedService,
@@ -397,15 +204,6 @@ void SloWatchdog::OnEvent(const TraceEvent& e) {
              FaultCause("monitor lease silent past the grace window; "
                         "client re-arms its last provisioned reservation "
                         "without free-token fetches")});
-      break;
-    case EventType::kNodeJoin:
-    case EventType::kNodeLeave:
-    case EventType::kCoordFailover:
-      // Membership churn and coordinator promotion annotate like faults:
-      // throughput wobbles across the transition are expected, not SLO
-      // breaks. The C4 identity is the offline auditor's job.
-      run_faulted_ = true;
-      cur_.faulted = true;
       break;
 
     // --- controller: recovery claims become typed alerts, so live runs and
@@ -419,7 +217,7 @@ void SloWatchdog::OnEvent(const TraceEvent& e) {
     // --- engine: token-path distress signals ------------------------------
     case EventType::kTokenDecay:
       if (period_open_ && e.period == cur_.period) {
-        cur_.decay_surrendered += e.a;
+        cur_.decay_surrendered = SatAdd(cur_.decay_surrendered, e.a);
       }
       break;
     case EventType::kPoolEmpty:
@@ -431,112 +229,56 @@ void SloWatchdog::OnEvent(const TraceEvent& e) {
       }
       break;
 
-    // --- fabric faults annotate -------------------------------------------
-    case EventType::kOpDropped:
-    case EventType::kOpDelayed:
-    case EventType::kOpDuplicated:
-    case EventType::kQpError:
-    case EventType::kNodeCrash:
-    case EventType::kNodeRestart:
-    case EventType::kNodePause:
-    case EventType::kNodeResume:
-      run_faulted_ = true;
-      cur_.faulted = true;
-      break;
-
     default:
       break;
   }
+  // Injected faults annotate instead of false-alarming; membership churn
+  // and coordinator promotion count too (throughput wobbles across the
+  // transition are expected, not SLO breaks).
+  if (IsFaultEvent(e.type)) {
+    run_faulted_ = true;
+    cur_.faulted = true;
+  }
 }
 
-void SloWatchdog::EvaluatePeriod(const TraceEvent& end_event) {
+void SloWatchdog::EvaluatePeriod(const AuditPeriod& row,
+                                 const TraceEvent& end_event) {
   const PeriodState& p = cur_;
   ++periods_evaluated_;
   const std::size_t alerts_before = alerts_.size();
 
-  // The period's extent, for the measurement-window and crash-window
-  // geometry — identical to the auditor's A9 so verdicts agree.
-  const SimTime p_end =
-      period_len_ > 0 ? p.start_time + period_len_ : kTimeMax;
-  // Harness traces declare their window with kMeasureStart; until that
-  // event arrives nothing is measured. This keeps the streaming verdict
-  // independent of tie-breaking when a period boundary lands on the same
-  // timestamp as the warmup edge (Merged() orders monitors before the
-  // harness), so live taps and trace replays agree with audit A9.
-  bool measured =
-      (measure_start_ >= 0 && p.start_time >= measure_start_) &&
-      (measure_end_ < 0 || (p_end != kTimeMax && p_end <= measure_end_));
-  if (!have_harness_) measured = true;
-
-  // W8 geometry: a period any monitor-outage window touches (padded two
-  // periods past the recovery for the re-sync handshake, matching the
-  // auditor's A9 exclusion) holds no reservation or limit promise.
-  bool outage_excluded = false;
-  for (const auto& [crash, recover] : monitor_outages_) {
-    const SimTime padded_end = recover == kTimeMax || period_len_ == 0
-                                   ? kTimeMax
-                                   : recover + 2 * period_len_;
-    if (crash <= p_end &&
-        (padded_end == kTimeMax || padded_end >= p.start_time)) {
-      outage_excluded = true;
-    }
-  }
-
-  // W1/W2 need cluster-wide completions per client; on cluster traces the
-  // watchdog only sees node 0's calibration reports, so the reservation
-  // and limit verdicts are left to the offline auditor (A9).
-  if (measured && p.reporting && !cluster_mode_ && !outage_excluded) {
-    for (const auto& [client, info] : clients_) {
-      if (info.spec_demand <= 0) continue;  // closed loop / unknown demand
-      const std::int64_t reservation = info.ReservationAt(p.start_time);
-      if (reservation <= 0) continue;
-      bool excluded = info.DepartedBy(p.start_time);
-      for (const auto& [crash, restart] : info.crash_windows) {
-        const SimTime padded_end =
-            restart == kTimeMax || period_len_ == 0
-                ? kTimeMax
-                : restart + 2 * period_len_;
-        if (crash <= p_end &&
-            (padded_end == kTimeMax || padded_end >= p.start_time)) {
-          excluded = true;
-        }
-      }
-      if (excluded) continue;
-
-      const std::int64_t target = std::min(reservation, info.spec_demand);
-      const auto floor_target = static_cast<std::int64_t>(
-          options_.guarantee_fraction * static_cast<double>(target));
-      std::int64_t completed = 0;
-      const auto report = p.reports.find(client);
-      if (report != p.reports.end()) completed = report->second.first;
-      ++guarantee_checks_;
-      if (completed < floor_target) {
-        Raise({AlertKind::kReservationShortfall, AlertSeverity::kCritical,
-               end_event.time, p.period, client, floor_target, completed,
-               FaultCause("client under-served while demanding and alive")});
-      }
-      const std::int64_t limit = info.LimitAt();
-      if (limit > 0 && completed > limit) {
-        Raise({AlertKind::kLimitOvershoot, AlertSeverity::kCritical,
-               end_event.time, p.period, client, limit, completed,
-               "completed above the admitted limit this period"});
-      }
-    }
+  // W1/W2 need cluster-wide completions per client, which a period end on
+  // node 0 cannot wait for; on cluster traces the reservation and limit
+  // verdicts are left to the offline auditor (A9).
+  if (!facts_.cluster) {
+    guarantee_checks_ += JudgeGuarantee(
+        facts_, ledger_, row, options_.guarantee_fraction,
+        [&](const GuaranteeCheck& g) {
+          if (g.completed < g.floor) {
+            Raise({AlertKind::kReservationShortfall, AlertSeverity::kCritical,
+                   end_event.time, row.period, g.client, g.floor, g.completed,
+                   FaultCause("client under-served while demanding and "
+                              "alive")});
+          }
+          const std::int64_t limit = g.facts->LimitAt();
+          if (limit > 0 && g.completed > limit) {
+            Raise({AlertKind::kLimitOvershoot, AlertSeverity::kCritical,
+                   end_event.time, row.period, g.client, limit, g.completed,
+                   "completed above the admitted limit this period"});
+          }
+        });
   }
 
   // W4: every conversion pinned xi_global at zero while at least a full
   // FAA batch of reservation tokens sat idle (surrendered to decay) and
   // some engine found the pool empty — recycling should have minted.
-  const std::int64_t idle_floor = std::max<std::int64_t>(
-      options_.stall_min_idle_tokens > 0 ? options_.stall_min_idle_tokens
-                                         : token_batch_,
-      1);
-  if (p.reporting && p.conversions > 0 && p.max_converted_pool == 0 &&
-      p.decay_surrendered >= idle_floor && p.pool_empty_events > 0) {
-    Raise({AlertKind::kConversionStall,
-           cur_.faulted || run_faulted_ ? AlertSeverity::kInfo
-                                        : AlertSeverity::kWarning,
-           end_event.time, p.period, -1, p.decay_surrendered, 0,
+  const std::int64_t idle_floor =
+      std::max<std::int64_t>(facts_.token_batch, 1);
+  if (ledger_.Reporting(row.period) && p.conversions > 0 &&
+      p.max_converted_pool == 0 && p.decay_surrendered >= idle_floor &&
+      p.pool_empty_events > 0) {
+    Raise({AlertKind::kConversionStall, DistressSeverity(), end_event.time,
+           p.period, -1, p.decay_surrendered, 0,
            FaultCause("token conversion stuck at zero with idle "
                       "reservations and starved engines")});
   }
@@ -544,24 +286,17 @@ void SloWatchdog::EvaluatePeriod(const TraceEvent& end_event) {
   // W7: borrow storm — the coordinator spent the period begging peers for
   // tokens, meaning a node is chronically dry (its reservations should
   // move instead, or the cluster is over-committed).
-  if (cluster_mode_ && options_.borrow_storm_requests > 0 &&
-      p.borrow_requests >= options_.borrow_storm_requests) {
-    Raise({AlertKind::kBorrowStorm,
-           cur_.faulted || run_faulted_ ? AlertSeverity::kInfo
-                                        : AlertSeverity::kWarning,
-           end_event.time, p.period, -1, options_.borrow_storm_requests,
-           p.borrow_requests,
+  if (facts_.cluster && p.borrow_requests >= kBorrowStormRequests) {
+    Raise({AlertKind::kBorrowStorm, DistressSeverity(), end_event.time,
+           p.period, -1, kBorrowStormRequests, p.borrow_requests,
            FaultCause("cross-server borrow requests flooded the period")});
   }
 
   // W6: FAA backoff saturation. The set is ordered, so alert order is
   // deterministic.
   for (const std::uint32_t client : p.faa_exhausted) {
-    Raise({AlertKind::kFaaStarvation,
-           cur_.faulted || run_faulted_ ? AlertSeverity::kInfo
-                                        : AlertSeverity::kWarning,
-           end_event.time, p.period, client,
-           static_cast<std::int64_t>(token_batch_), 0,
+    Raise({AlertKind::kFaaStarvation, DistressSeverity(), end_event.time,
+           p.period, client, static_cast<std::int64_t>(facts_.token_batch), 0,
            FaultCause("FAA retry backoff saturated at its maximum")});
   }
 
@@ -569,20 +304,19 @@ void SloWatchdog::EvaluatePeriod(const TraceEvent& end_event) {
       periods_evaluated_ % status_interval_ == 0) {
     PeriodStatus status;
     status.period = p.period;
-    status.capacity = p.capacity;
-    status.end_pool = p.end_pool;
-    status.completed = p.completed;
-    for (const auto& [client, info] : clients_) {
+    status.capacity = row.capacity;
+    status.end_pool = row.end_pool;
+    status.completed = row.completed;
+    for (const auto& [client, info] : facts_.clients) {
       if (info.spec_demand <= 0) continue;
-      const std::int64_t reservation = info.ReservationAt(p.start_time);
-      if (reservation <= 0 || info.DepartedBy(p.start_time)) continue;
+      const std::int64_t reservation =
+          facts_.ReservationFor(info, row.start_time);
+      if (reservation <= 0 || info.DepartedBy(row.start_time)) continue;
       const std::int64_t target =
           std::max<std::int64_t>(std::min(reservation, info.spec_demand), 1);
-      std::int64_t completed = 0;
-      const auto report = p.reports.find(client);
-      if (report != p.reports.end()) completed = report->second.first;
+      const std::int64_t completed = ledger_.Completed(row.period, client);
       status.attainment.emplace_back(
-          client, static_cast<int>(completed * 100 / target));
+          client, static_cast<int>(SatMul(completed, 100) / target));
     }
     for (const auto& [shard, pool] : p.shard_pools) {
       status.shard_pools.emplace_back(shard, pool);
@@ -593,6 +327,8 @@ void SloWatchdog::EvaluatePeriod(const TraceEvent& end_event) {
     status.total_alerts = alerts_.size();
     status_fn_(status);
   }
+  // A live watchdog keeps calibration facts only for periods still open.
+  ledger_.ForgetBefore(row.period);
 }
 
 Status SloWatchdog::Finish() {

@@ -11,28 +11,29 @@
 //   W1 reservation shortfall   completed < f * min(R, demand) for an
 //                              admitted, demanding, alive client in a
 //                              fully-measured reporting period — the
-//                              streaming form of the auditor's A9, with the
-//                              same crash-window padding and departure
-//                              exclusions, so online and offline verdicts
-//                              agree on the same trace.
+//                              shared guarantee judge (obs/identities.hpp)
+//                              the auditor's A9 also runs, so online and
+//                              offline verdicts agree on the same trace.
 //   W2 limit overshoot         a limited client completed more than its
 //                              admitted limit in one period.
 //   W3 pool conservation       dispatch identity (A2), pool monotonicity
 //                              between monitor writes (A3), the conversion
 //                              time budget (A4), and a live cross-check of
 //                              the monitor's own granted ledger against the
-//                              stream-derived grant total.
+//                              stream-derived grant total — the shared
+//                              pool ledger the auditor also runs, on every
+//                              data node's pool.
 //   W4 conversion stall        every conversion this period wrote
 //                              xi_global = 0 while clients surrendered at
 //                              least one FAA batch of reservation tokens to
 //                              decay and some engine found the pool empty.
 //   W5 capacity oscillation    Algorithm 1's estimate alternated direction
-//                              for `oscillation_flips` consecutive periods
+//                              for kOscillationFlips consecutive periods
 //                              with relative amplitude above the threshold.
 //   W6 FAA starvation          an engine's FAA retry backoff saturated at
 //                              faa_retry_backoff_max within one period.
 //   W7 borrow storm            the cluster coordinator issued at least
-//                              `borrow_storm_requests` cross-server borrow
+//                              kBorrowStormRequests cross-server borrow
 //                              requests within one period — a node is
 //                              chronically dry and thrashing against its
 //                              peers instead of rebalancing reservations.
@@ -46,12 +47,12 @@
 //                              degraded pacing (kDegradedEnter) after its
 //                              monitor lease went silent.
 //
-// Cluster traces (harness kClusterConfig) demote the watchdog to node 0's
-// pool plus the cluster control plane: monitor streams from other nodes
-// are ignored (one pool state machine), engine distress signals only count
-// for engines bound to node 0, and W1/W2 are left to the offline auditor —
-// per-node calibration reports cannot be judged against cluster-wide specs
-// without the auditor's cross-node summation.
+// Cluster traces (harness kClusterConfig): W3 covers every node (the
+// shared ledger is keyed by monitor node), but the watchdog's own
+// telemetry follows node 0 plus the cluster control plane — other nodes'
+// monitor events and engines bound to them feed no W4-W9 rule — and W1/W2
+// are left to the offline auditor, which judges a period only once every
+// node has reported it.
 //
 // Injected faults annotate instead of false-alarming: fabric fault and
 // client-crash events downgrade W4/W6 to info severity with a cause naming
@@ -77,6 +78,7 @@
 #include <vector>
 
 #include "obs/alerts.hpp"
+#include "obs/identities.hpp"
 #include "obs/trace.hpp"
 
 // The watchdog rides the trace stream: compiling out tracing starves it,
@@ -93,20 +95,19 @@ struct WatchdogOptions {
   /// reporting period. Matches AuditOptions::guarantee_fraction so the
   /// agreement test can run both at the same bar.
   double guarantee_fraction = 0.95;
-  /// W5 trigger: this many consecutive sign-alternating estimate deltas...
-  int oscillation_flips = 4;
-  /// ...each at least this fraction of the previous estimate. Algorithm
-  /// 1's eta probe (~3%) must stay below it or steady-state Grow/Hold
-  /// cycling would alarm.
-  double oscillation_amplitude = 0.05;
-  /// W4 floor on decay-surrendered tokens; 0 = one token batch.
-  std::int64_t stall_min_idle_tokens = 0;
-  /// W7 trigger: cross-server borrow requests in one period. The default
-  /// tolerates a burst while the adaptive quota ramps (a request per
-  /// borrow tick for a chunk of the period) but flags a node that stays
-  /// dry through a whole period's worth of ticks.
-  std::int64_t borrow_storm_requests = 12;
 };
+
+/// W5 trigger: this many consecutive sign-alternating estimate deltas...
+inline constexpr int kOscillationFlips = 4;
+/// ...each at least this fraction of the previous estimate. Algorithm 1's
+/// eta probe (~3%) must stay below it or steady-state Grow/Hold cycling
+/// would alarm.
+inline constexpr double kOscillationAmplitude = 0.05;
+/// W7 trigger: cross-server borrow requests in one period. It tolerates a
+/// burst while the adaptive quota ramps (a request per borrow tick for a
+/// chunk of the period) but flags a node that stays dry through a whole
+/// period's worth of ticks.
+inline constexpr std::int64_t kBorrowStormRequests = 12;
 
 /// One period's summary for the live status line (`--status-interval=N`).
 struct PeriodStatus {
@@ -173,38 +174,10 @@ class SloWatchdog {
   [[nodiscard]] int guarantee_checks() const { return guarantee_checks_; }
 
  private:
-  struct ClientState {
-    std::int64_t spec_reservation = -1;
-    std::int64_t spec_demand = -1;
-    std::int64_t spec_limit = 0;
-    // (time, reservation) per admit/readmit; limit of the newest admit.
-    std::vector<std::pair<SimTime, std::int64_t>> admits;
-    std::int64_t admitted_limit = -1;
-    std::vector<SimTime> departures;  // releases + lease expiries
-    std::int64_t lease_expiries = 0;  // cumulative, fuels kLeaseChurn
-    // Scripted crash windows [crash, restart); restart == kTimeMax while
-    // the client is still down.
-    std::vector<std::pair<SimTime, SimTime>> crash_windows;
-
-    [[nodiscard]] std::int64_t ReservationAt(SimTime t) const;
-    [[nodiscard]] bool DepartedBy(SimTime t) const;
-    [[nodiscard]] std::int64_t LimitAt() const {
-      return admitted_limit >= 0 ? admitted_limit : spec_limit;
-    }
-  };
-
+  /// The watchdog's own telemetry for node 0's open period; the ledger
+  /// itself lives in the shared PoolLedger.
   struct PeriodState {
     std::uint32_t period = 0;
-    SimTime start_time = 0;
-    std::int64_t capacity = 0;
-    std::int64_t dispatched = 0;
-    std::int64_t initial_pool = 0;
-    std::int64_t derived_granted = 0;  // pool drops between monitor writes
-    std::int64_t end_pool = 0;
-    std::int64_t completed = 0;
-    bool reporting = false;  // S2 fired / Algorithm 1 ran
-    // client -> (completed, residual) from the monitor's calibration.
-    std::map<std::uint32_t, std::pair<std::int64_t, std::int64_t>> reports;
     std::int64_t decay_surrendered = 0;  // sum over engines, this period
     std::int64_t pool_empty_events = 0;
     std::int64_t borrow_requests = 0;  // W7: coordinator requests observed
@@ -213,24 +186,24 @@ class SloWatchdog {
     std::map<std::uint32_t, std::int64_t> shard_pools;
     std::int64_t borrow_granted = 0;
     std::int64_t borrow_repaid = 0;
-    // Net borrow movement this period (absorbed - lent): conversion
-    // preserves loans, so the W3 time budget extends by the positive part.
-    std::int64_t borrow_credit = 0;
     int conversions = 0;
     std::int64_t max_converted_pool = 0;
     std::set<std::uint32_t> faa_exhausted;  // clients whose backoff pinned
     bool faulted = false;  // fabric/crash fault observed this period
   };
 
+  /// Formats a shared checker's finding as a trace-truncation or W3 alert.
+  void OnFinding(const Finding& finding);
   void Raise(Alert alert);
-  /// Satellite of the truncation alert: per-(kind, actor) seq continuity.
-  void CheckSeq(const TraceEvent& event);
-  /// A3-style pool observation between monitor writes.
-  void ObservePool(const TraceEvent& event, std::int64_t value);
   /// Settles every W-rule for the period that just closed.
-  void EvaluatePeriod(const TraceEvent& end_event);
-  void EmitStatus(const TraceEvent& end_event);
+  void EvaluatePeriod(const AuditPeriod& row, const TraceEvent& end_event);
   [[nodiscard]] std::string FaultCause(const char* healthy_cause) const;
+  /// Info while faults explain the distress (this period or earlier),
+  /// warning otherwise.
+  [[nodiscard]] AlertSeverity DistressSeverity() const {
+    return cur_.faulted || run_faulted_ ? AlertSeverity::kInfo
+                                        : AlertSeverity::kWarning;
+  }
 
   WatchdogOptions options_;
   std::vector<AlertSink*> sinks_;
@@ -238,38 +211,25 @@ class SloWatchdog {
   std::function<void(const PeriodStatus&)> status_fn_;
   std::uint32_t status_interval_ = 0;
 
-  // Run configuration gleaned from harness events (with the same
-  // inference fallbacks the auditor uses).
-  SimDuration period_len_ = 0;
-  std::int64_t token_batch_ = 0;
-  SimTime measure_start_ = -1;
-  SimTime measure_end_ = -1;  // -1 until kMeasureEnd arrives
-  bool have_harness_ = false;
+  // The identity checkers the auditor shares (obs/identities.hpp).
+  const FindingSink sink_ = [this](const Finding& f) { OnFinding(f); };
+  StreamCheck stream_;
+  RunFacts facts_;
+  PoolLedger ledger_{/*retain_rows=*/false};
+
   bool run_faulted_ = false;
-  // Monitor-outage windows [crash, recover) — recover == kTimeMax while
-  // the monitor is still down. W8 raises on open; W1/W2 exclude periods a
-  // padded window touches.
-  std::vector<std::pair<SimTime, SimTime>> monitor_outages_;
   std::int64_t monitor_crashes_ = 0;
-  // Cluster traces: watch node 0's pool only and skip W1/W2 (see header).
-  bool cluster_mode_ = false;
-  std::map<std::uint32_t, std::uint32_t> engine_nodes_;  // engine -> node
-  std::map<std::uint32_t, ClientState> clients_;
+  std::map<std::uint32_t, std::int64_t> lease_expiries_;  // fuels kLeaseChurn
 
   PeriodState cur_;
   bool period_open_ = false;
-  SimTime prev_period_start_ = -1;
-  std::int64_t last_pool_ = 0;
-  bool have_pool_ = false;
 
   // W5 state: Algorithm 1 estimate trajectory.
   std::int64_t last_estimate_ = -1;
   int last_delta_sign_ = 0;
   int flips_ = 0;
 
-  // Truncation detection: last seq per (kind << 32 | actor) stream, plus
-  // the one-shot latch shared by CheckSeq and NotifyTruncation.
-  std::map<std::uint64_t, std::uint64_t> last_seq_;
+  // One-shot latch shared by the seq-gap finding and NotifyTruncation.
   bool truncation_alerted_ = false;
 
   std::size_t periods_evaluated_ = 0;

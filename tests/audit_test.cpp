@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "obs/audit.hpp"
 #include "obs/export.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "workload/distributions.hpp"
 
@@ -347,6 +351,42 @@ TEST_F(AuditCorruption, AnUnknownEventNameIsRejectedByTheParser) {
   EXPECT_FALSE(obs::ParseCsvTrace(JoinLines(lines)).ok());
 }
 
+TEST_F(AuditCorruption, AnOutOfRangeActorOrPeriodIsRejectedWithItsLine) {
+  // Actor and period are 32-bit: a wider value must not alias actor 0's
+  // stream or period 0.
+  auto lines = SplitLines(*csv_);
+  const std::size_t victim = FindLine(lines, ",pool_sample,");
+  ASSERT_LT(victim, lines.size());
+  const std::string line_no = "line " + std::to_string(victim + 1);
+
+  auto wide_actor = lines;
+  wide_actor[victim] = WithField(lines[victim], 2, "4294967296");
+  const auto actor = obs::ParseCsvTrace(JoinLines(wide_actor));
+  ASSERT_FALSE(actor.ok());
+  EXPECT_NE(actor.status().ToString().find("actor out of range on " +
+                                           line_no),
+            std::string::npos)
+      << actor.status().ToString();
+
+  auto wide_period = lines;
+  wide_period[victim] = WithField(lines[victim], 5, "4294967296");
+  const auto period = obs::ParseCsvTrace(JoinLines(wide_period));
+  ASSERT_FALSE(period.ok());
+  EXPECT_NE(period.status().ToString().find("period out of range on " +
+                                            line_no),
+            std::string::npos)
+      << period.status().ToString();
+
+  // The widest in-range values still parse exactly.
+  auto widest = lines;
+  widest[victim] = WithField(WithField(lines[victim], 2, "4294967295"), 5,
+                             "4294967295");
+  const auto parsed = obs::ParseCsvTrace(JoinLines(widest));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value()[victim - 1].actor, 4294967295u);
+  EXPECT_EQ(parsed.value()[victim - 1].period, 4294967295u);
+}
+
 TEST_F(AuditCorruption, ATruncatedRingIsDetectedUnlessExplicitlyAllowed) {
   auto config = Fig10Config();
   config.measure_periods = 4;
@@ -362,6 +402,132 @@ TEST_F(AuditCorruption, ATruncatedRingIsDetectedUnlessExplicitlyAllowed) {
 }
 
 #endif  // HAECHI_TRACE_ENABLED
+
+// ---------------------------------------------------------------------------
+// Synthetic traces pin single rules (no tracing needed: events are built
+// by hand, the way a parsed export arrives).
+
+TraceEvent Ev(SimTime time, obs::ActorKind kind, std::uint32_t actor,
+              EventType type, std::uint32_t period, std::int64_t a = 0,
+              std::int64_t b = 0, std::int64_t c = 0) {
+  TraceEvent event;
+  event.time = time;
+  event.type = type;
+  event.actor_kind = kind;
+  event.actor = actor;
+  event.period = period;
+  event.a = a;
+  event.b = b;
+  event.c = c;
+  return event;
+}
+
+/// Stamps the dense per-actor seqs the recorder always emits; `events` is
+/// in time order, as Merged() exports it.
+std::vector<TraceEvent> DenseSeqs(std::vector<TraceEvent> events) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> next;
+  for (TraceEvent& event : events) {
+    event.seq =
+        next[{static_cast<std::uint32_t>(event.actor_kind), event.actor}]++;
+  }
+  return events;
+}
+
+std::size_t PoolConservationAlerts(const std::vector<TraceEvent>& events) {
+  const auto alerts = obs::ReplayTrace(events);
+  return static_cast<std::size_t>(
+      std::count_if(alerts.begin(), alerts.end(), [](const obs::Alert& a) {
+        return a.kind == obs::AlertKind::kPoolConservation;
+      }));
+}
+
+constexpr auto kHar = obs::ActorKind::kHarness;
+constexpr auto kMon = obs::ActorKind::kMonitor;
+constexpr auto kEng = obs::ActorKind::kEngine;
+constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+
+TEST(AuditOverflow, HostileTimesSaturateInsteadOfWrapping) {
+  // A client crashed over [0, 10) with a 2^62 ns period: its exclusion
+  // window pads to restart + 2T = 2^63 + 10, past SimTime. Wrapping would
+  // end the window before the period and judge the crashed client.
+  const std::vector<TraceEvent> crash_padding = DenseSeqs({
+      Ev(0, kHar, 0, EventType::kRunConfig, 0, std::int64_t{1} << 62, 10),
+      Ev(0, kHar, 0, EventType::kMeasureStart, 0),
+      Ev(0, kHar, 0, EventType::kClientSpec, 0, 100, 0, 100),
+      Ev(0, kHar, 0, EventType::kClientCrash, 0),
+      Ev(10, kHar, 0, EventType::kClientRestart, 0),
+      Ev(20, kMon, 0, EventType::kMonitorPeriodStart, 1, 1000, 100, 900),
+      Ev(30, kMon, 0, EventType::kReportSignal, 1),
+      Ev(40, kMon, 0, EventType::kMonitorPeriodEnd, 1, 900, 0, 0),
+      Ev(kMax, kHar, 0, EventType::kMeasureEnd, 0),
+  });
+  const AuditReport padded = obs::AuditTrace(crash_padding);
+  EXPECT_TRUE(padded.ok()) << padded.Summary();
+  EXPECT_EQ(padded.guarantee_checks, 0);
+  EXPECT_TRUE(obs::ReplayTrace(crash_padding).empty());
+
+  // A period starting 50 ns before the end of time: start + T overflows.
+  // It cannot end inside a window that closed before it began.
+  const std::vector<TraceEvent> late_period = DenseSeqs({
+      Ev(0, kHar, 0, EventType::kRunConfig, 0, 100, 10),
+      Ev(0, kHar, 0, EventType::kMeasureStart, 0),
+      Ev(0, kHar, 0, EventType::kClientSpec, 0, 100, 0, 100),
+      Ev(kMax - 60, kHar, 0, EventType::kMeasureEnd, 0),
+      Ev(kMax - 50, kMon, 0, EventType::kMonitorPeriodStart, 1, 1000, 100,
+         900),
+      Ev(kMax - 40, kMon, 0, EventType::kReportSignal, 1),
+      Ev(kMax - 10, kMon, 0, EventType::kMonitorPeriodEnd, 1, 900, 0, 0),
+  });
+  const AuditReport late = obs::AuditTrace(late_period);
+  EXPECT_TRUE(late.ok()) << late.Summary();
+  EXPECT_EQ(late.guarantee_checks, 0);
+  EXPECT_TRUE(obs::ReplayTrace(late_period).empty());
+
+  // A conversion a whole time range after its period started has no time
+  // budget left: the elapsed time saturates instead of wrapping negative
+  // (which would grant a budget above the period's capacity).
+  const std::vector<TraceEvent> late_conversion = DenseSeqs({
+      Ev(0, kHar, 0, EventType::kRunConfig, 0, 100, 10),
+      Ev(kMin, kMon, 0, EventType::kMonitorPeriodStart, 1, 1000, 0, 1000),
+      Ev(kMax, kMon, 0, EventType::kTokenConvert, 1, 1000, 1005),
+  });
+  const AuditReport converted = obs::AuditTrace(late_conversion);
+  EXPECT_EQ(obs::FirstFailedCheck(converted), 4) << converted.Summary();
+  EXPECT_EQ(PoolConservationAlerts(late_conversion), 1u);
+}
+
+TEST(AuditConservationBand, FetchesOrphanedByAMonitorOutageLeaveTheLowerBound) {
+  // The engine's second fetch drew from the crashed period's pool (tagged
+  // period 1) but its completion is stamped after the recovery installed
+  // a fresh pool: no pool observation can ever see its tokens.
+  const auto trace = [](std::uint32_t late_fetch_period) {
+    return DenseSeqs({
+        Ev(0, kHar, 0, EventType::kRunConfig, 0, 1000, 10),
+        Ev(0, kMon, 0, EventType::kMonitorPeriodStart, 1, 1000, 0, 1000),
+        Ev(10, kEng, 0, EventType::kTokenFetch, 1, 10),
+        Ev(20, kEng, 0, EventType::kTokenFetchDone, 1, 1000, 10, 10),
+        Ev(30, kMon, 0, EventType::kPoolSample, 1, 990),
+        Ev(40, kEng, 0, EventType::kTokenFetch, late_fetch_period, 10),
+        Ev(50, kMon, 0, EventType::kMonitorCrash, 1),
+        Ev(100, kMon, 0, EventType::kMonitorRecover, 1),
+        Ev(100, kMon, 0, EventType::kMonitorPeriodStart, 2, 1000, 0, 1000),
+        Ev(150, kEng, 0, EventType::kTokenFetchDone, late_fetch_period, 990,
+           10, 10),
+        Ev(200, kMon, 0, EventType::kPoolSample, 2, 1000),
+        Ev(1100, kMon, 0, EventType::kMonitorPeriodEnd, 2, 1000, 0, 0),
+    });
+  };
+  const AuditReport orphaned = obs::AuditTrace(trace(1));
+  EXPECT_FALSE(orphaned.clean);
+  EXPECT_TRUE(orphaned.ok()) << orphaned.Summary();
+
+  // The rule is no wider than the crash: the same completion tagged with
+  // the post-recovery period should have drained the watched pool, so the
+  // band still convicts the missing grant.
+  const AuditReport counted = obs::AuditTrace(trace(2));
+  EXPECT_EQ(obs::FirstFailedCheck(counted), 5) << counted.Summary();
+}
 
 }  // namespace
 }  // namespace haechi

@@ -26,6 +26,7 @@
 #include "harness/runtime_experiment.hpp"
 #include "obs/audit.hpp"
 #include "obs/trace.hpp"
+#include "workload/distributions.hpp"
 
 namespace haechi {
 namespace {
@@ -324,6 +325,61 @@ TEST(RuntimePropertyTest, ControllerArmedThreadedRunKeepsTheAuditGreen) {
 }
 
 #endif  // HAECHI_WATCHDOG_ENABLED
+
+// The haechi_sim --runtime=threads --monitor-crash-at=1.0
+// --monitor-recover-at=1.8 scenario: ten zipf-reserved clients keep
+// fetching from the crashed period's pool through the outage, and on a
+// loaded host a fetch tagged with the crashed period can be stamped after
+// the recovery event. The audit's conservation band must not count such
+// an orphaned fetch against the pool the recovery installed. Seeds
+// alternate one and four pool shards; ctest runs them in parallel, which
+// is the load that exposes late stamps.
+class ThreadedMonitorCrashAudit : public ::testing::TestWithParam<int> {};
+
+TEST_P(ThreadedMonitorCrashAudit, TraceAuditsClean) {
+#if !HAECHI_TRACE_ENABLED
+  GTEST_SKIP() << "tracing compiled out";
+#else
+  harness::ExperimentConfig config;
+  config.mode = harness::Mode::kHaechi;
+  config.net.capacity_scale = 0.05;
+  config.qos.token_batch = 50;
+  config.qos.pool_shards = GetParam() % 2 == 0 ? 1 : 4;
+  config.profiled_global_iops = config.net.GlobalCapacityIops();
+  config.profiled_local_iops = config.net.LocalCapacityIops();
+  config.warmup = Millis(500);
+  config.measure_periods = 4;
+  config.seed = static_cast<std::uint64_t>(GetParam());
+  config.trace.enabled = true;
+  config.trace.ring_capacity = 1u << 18;
+  const auto cap = static_cast<std::int64_t>(
+      config.net.GlobalCapacityIops() * ToSeconds(config.qos.period));
+  const std::int64_t reserved = cap * 9 / 10;
+  for (const std::int64_t r :
+       workload::ZipfGroupShare(reserved, 10, 5, 0.6)) {
+    harness::ClientSpec spec;
+    spec.reservation = r;
+    spec.demand = r + (cap - reserved);
+    spec.pattern = workload::RequestPattern::kOpenLoop;
+    config.clients.push_back(spec);
+  }
+  config.faults.MonitorCrashAt(0, Millis(1000), Millis(1800));
+
+  harness::ThreadedExperiment experiment(config);
+  const harness::ThreadedExperimentResult result = experiment.Run();
+  ASSERT_EQ(result.monitor_stats.crashes, 1u);
+  ASSERT_EQ(result.monitor_stats.recoveries, 1u);
+  ASSERT_NE(experiment.recorder(), nullptr);
+  ASSERT_EQ(experiment.recorder()->TotalDropped(), 0u);
+  const obs::AuditReport report =
+      obs::AuditTrace(experiment.recorder()->Merged());
+  EXPECT_EQ(obs::FirstFailedCheck(report), 0) << report.Summary();
+  EXPECT_FALSE(report.clean);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ThreadedMonitorCrashAudit,
+                         ::testing::Range(1, 7));
 
 }  // namespace
 }  // namespace haechi

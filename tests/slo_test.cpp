@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/coordinator.hpp"
+#include "harness/cluster_experiment.hpp"
 #include "harness/experiment.hpp"
 #include "obs/alerts.hpp"
 #include "obs/audit.hpp"
@@ -365,6 +367,61 @@ TEST(SloWatchdogEndToEnd, LiveAlertsMatchReplayOfTheExportedTrace) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(obs::ToJsonl(live[i]), obs::ToJsonl(replayed[i]));
   }
+}
+
+TEST(SloWatchdogEndToEnd, ClusterLiveAlertsMatchReplayLineForLine) {
+  // Four data nodes with adaptive borrowing (haechi_sim --cluster=4
+  // --borrow=adaptive, scaled down). In Merged() order the t=0 period
+  // starts of nodes 1-3 sort ahead of the harness cluster_config row, so
+  // a watchdog that learns it is on a cluster only from that row mixes
+  // their pools into node 0's and replays a W3 alert the live run never
+  // raised. Pool state keyed by monitor node makes the order irrelevant.
+  harness::ClusterExperimentConfig config;
+  config.data_nodes = 4;
+  config.net.capacity_scale = 0.02;
+  config.warmup = Seconds(1);
+  config.measure_periods = 3;
+  config.records = 256;
+  config.qos.token_batch = 20;
+  const auto cap = static_cast<std::int64_t>(
+      config.net.GlobalCapacityIops() * ToSeconds(config.qos.period));
+  config.cluster.borrow.policy = cluster::BorrowPolicy::kAdaptive;
+  config.cluster.dry_watermark = config.qos.token_batch * 5;
+  config.cluster.lender_floor = config.qos.token_batch * 10;
+  config.cluster.borrow.quota = cap / 20;
+  config.cluster.borrow.min_quota = config.qos.token_batch;
+  config.cluster.borrow.max_quota = cap / 4;
+  // Eight clients, reservations not divisible by the node count (so node
+  // 0's split differs from the rest), each leaning 85% of its demand on a
+  // home node so the splits and the loans have skew to chase.
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    harness::ClusterClientSpec spec;
+    spec.reservation = cap * static_cast<std::int64_t>(i + 4) / 120 + 1;
+    const std::int64_t demand = spec.reservation + cap / 40;
+    spec.demand_per_node.assign(4, (demand - demand * 85 / 100) / 3);
+    spec.demand_per_node[i % 4] = demand * 85 / 100;
+    total += spec.reservation;
+    config.clients.push_back(spec);
+  }
+  config.tenants = {{total, 0}};
+  config.trace.enabled = true;
+  config.watchdog.enabled = true;
+  harness::ClusterExperiment experiment(std::move(config));
+  const auto result = experiment.Run();
+  ASSERT_GT(result.borrow_granted, 0);
+  ASSERT_NE(experiment.watchdog(), nullptr);
+
+  std::string replayed;
+  for (const Alert& alert :
+       obs::ReplayTrace(experiment.recorder()->Merged())) {
+    replayed += obs::ToJsonl(alert) + "\n";
+  }
+  EXPECT_EQ(replayed, experiment.alerts_jsonl());
+  // The per-node ledger holds on every node, live and offline.
+  EXPECT_EQ(CountKind(experiment.watchdog()->alerts(),
+                      AlertKind::kPoolConservation),
+            0u);
 }
 
 TEST(SloWatchdogEndToEnd, AgreesWithAuditOnTheHealthyFig10Underload) {

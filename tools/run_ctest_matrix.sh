@@ -23,6 +23,10 @@
 #                        (harness, integration, cluster, runtime_diff,
 #                        trace and run_plane tests, and the haechi_sim
 #                        flag matrix)
+#         audit          the offline audit, the live watchdog and the
+#                        identity checkers they share (audit_test,
+#                        slo_test, trace_fuzz_test); asan-audit runs the
+#                        trace fuzzer under UBSan
 #   tools/run_ctest_matrix.sh tsan-runtime-sharded
 #       tighter than tsan-runtime: only the sharded-pool / batched-fetch /
 #       rebalance tests — the gate for pool-shard and fetch-batch changes
