@@ -435,15 +435,16 @@ ExperimentResult Experiment::Run() {
   }
 
   // Cross-layer span profile: with detail tracing on, reassemble every I/O's
-  // admit→fetch→wait→queue→service stages from the merged stream and replay
-  // the per-period stage distributions into the registry (reset per period,
-  // so each snapshot row is that period's distribution, not a cumulative
-  // blur). Compiles to nothing under HAECHI_TRACE=OFF: the AssembleSpans
-  // stub returns an empty vector.
+  // admit→fetch→wait→queue→service stages from the engine rings (the same
+  // spans a merged stream gives, without merging) and replay the per-period
+  // stage distributions into the registry (reset per period, so each
+  // snapshot row is that period's distribution, not a cumulative blur).
+  // Compiles to nothing under HAECHI_TRACE=OFF: the AssembleSpans stub
+  // returns an empty vector.
   obs::Recorder* recorder = plane_.recorder();
   if (recorder != nullptr && recorder->detail()) {
     obs::SpanAssemblyStats span_stats;
-    result_->spans = obs::AssembleSpans(recorder->Merged(), &span_stats);
+    result_->spans = obs::AssembleSpans(*recorder, &span_stats);
     result_->span_stats = span_stats;
     plane_.AddRollup("span.count", static_cast<std::int64_t>(span_stats.spans));
     plane_.AddRollup("span.dropped_unissued",
@@ -454,22 +455,26 @@ ExperimentResult Experiment::Run() {
                      static_cast<std::int64_t>(span_stats.orphan_events));
     if (!result_->spans.empty()) {
       obs::MetricsRegistry& registry = metrics();
-      static constexpr const char* kStageMetric[obs::kSpanStages] = {
-          "span.stage.admit", "span.stage.token_fetch",
-          "span.stage.convert_wait", "span.stage.queue",
-          "span.stage.nic_service"};
+      // Registry histograms live in a std::map, so the handles stay valid.
+      stats::Histogram* stage_hist[obs::kSpanStages] = {
+          &registry.Histogram("span.stage.admit"),
+          &registry.Histogram("span.stage.token_fetch"),
+          &registry.Histogram("span.stage.convert_wait"),
+          &registry.Histogram("span.stage.queue"),
+          &registry.Histogram("span.stage.nic_service")};
+      stats::Histogram& total_hist = registry.Histogram("span.stage.total");
       std::map<std::uint32_t, std::vector<const obs::IoSpan*>> by_period;
       for (const obs::IoSpan& span : result_->spans) {
         by_period[span.period].push_back(&span);
       }
       for (const auto& [period, spans] : by_period) {
-        for (const char* name : kStageMetric) registry.Histogram(name).Reset();
-        registry.Histogram("span.stage.total").Reset();
+        for (stats::Histogram* hist : stage_hist) hist->Reset();
+        total_hist.Reset();
         for (const obs::IoSpan* span : spans) {
           for (std::size_t s = 0; s < obs::kSpanStages; ++s) {
-            registry.Record(kStageMetric[s], span->stage_ns[s]);
+            stage_hist[s]->Record(span->stage_ns[s]);
           }
-          registry.Record("span.stage.total", span->Total());
+          total_hist.Record(span->Total());
         }
         registry.SnapshotHistograms(period, "span.stage.");
       }

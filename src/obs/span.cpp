@@ -6,9 +6,79 @@
 
 namespace haechi::obs {
 
+std::size_t SpanAssembler::InflightTable::Find(std::uint64_t io_id) const {
+  if (live_ == 0) return kAbsent;
+  const std::size_t mask = slots_.size() - 1;
+  // Robin Hood order: a run never holds a slot nearer its home than the
+  // probe distance so far, so meeting one proves the id absent.
+  for (std::size_t i = io_id & mask, d = 0;; i = (i + 1) & mask, ++d) {
+    if (!slots_[i].used || Distance(i) < d) return kAbsent;
+    if (slots_[i].span.io_id == io_id) return i;
+  }
+}
+
+void SpanAssembler::InflightTable::Insert(const IoSpan& span) {
+  if (Find(span.io_id) != kAbsent) return;
+  if (2 * (live_ + 1) > slots_.size()) Grow();
+  const std::size_t mask = slots_.size() - 1;
+  Slot carried{true, span};
+  for (std::size_t i = span.io_id & mask, d = 0;; i = (i + 1) & mask, ++d) {
+    if (!slots_[i].used) {
+      slots_[i] = carried;
+      ++live_;
+      return;
+    }
+    // Robin Hood: the entry nearer its home yields the slot and moves on.
+    if (const std::size_t held = Distance(i); held < d) {
+      std::swap(carried, slots_[i]);
+      d = held;
+    }
+  }
+}
+
+bool SpanAssembler::InflightTable::Take(std::uint64_t io_id, IoSpan& out) {
+  std::size_t i = Find(io_id);
+  if (i == kAbsent) return false;
+  out = slots_[i].span;
+  --live_;
+  // Backward-shift erase: pull the rest of the run one slot nearer home,
+  // up to a free slot or an entry already at home. Dense io_ids sit at
+  // home, so this usually stops at once.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j].used && Distance(j) > 0;
+       i = j, j = (j + 1) & mask) {
+    slots_[i] = slots_[j];
+  }
+  slots_[i].used = false;
+  return true;
+}
+
+void SpanAssembler::InflightTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  live_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.used) Insert(slot.span);
+  }
+}
+
+SpanAssembler::EngineState& SpanAssembler::StateFor(std::uint32_t actor) {
+  if (last_ < engines_.size() && engines_[last_].first == actor) {
+    return engines_[last_].second;
+  }
+  auto it = std::lower_bound(
+      engines_.begin(), engines_.end(), actor,
+      [](const auto& entry, std::uint32_t key) { return entry.first < key; });
+  if (it == engines_.end() || it->first != actor) {
+    it = engines_.emplace(it, actor, EngineState{});
+  }
+  last_ = static_cast<std::size_t>(it - engines_.begin());
+  return it->second;
+}
+
 void SpanAssembler::OnEvent(const TraceEvent& event) {
   if (event.actor_kind != ActorKind::kEngine) return;
-  EngineState& st = engines_[event.actor];
+  EngineState& st = StateFor(event.actor);
   const SimTime t = event.time;
   switch (event.type) {
     // --- token-path state machine -----------------------------------------
@@ -79,18 +149,15 @@ void SpanAssembler::OnEvent(const TraceEvent& event) {
       span.stage_ns[static_cast<std::size_t>(SpanStage::kQueue)] =
           std::max<SimDuration>(0, (t - it->queued_at) - fetch - wait);
       st.pending.erase(it);
-      st.inflight.emplace(io_id, span);
+      st.inflight.Insert(span);
       break;
     }
     case EventType::kIoComplete: {
-      const auto io_id = static_cast<std::uint64_t>(event.a);
-      auto it = st.inflight.find(io_id);
-      if (it == st.inflight.end()) {
+      IoSpan span;
+      if (!st.inflight.Take(static_cast<std::uint64_t>(event.a), span)) {
         ++stats_.orphan_events;
         break;
       }
-      IoSpan span = it->second;
-      st.inflight.erase(it);
       span.completed_at = t;
       span.stage_ns[static_cast<std::size_t>(SpanStage::kNicService)] =
           t - span.issued_at;
@@ -103,19 +170,17 @@ void SpanAssembler::OnEvent(const TraceEvent& event) {
   }
 }
 
-void SpanAssembler::DropLeftovers(EngineState& state) {
+void SpanAssembler::DropLeftovers(const EngineState& state) {
   stats_.dropped_unissued += state.pending.size();
   stats_.dropped_uncompleted += state.inflight.size();
-  state.pending.clear();
-  state.inflight.clear();
 }
 
 std::vector<IoSpan> SpanAssembler::Finish() {
-  for (auto& [actor, state] : engines_) DropLeftovers(state);
+  for (const auto& [actor, state] : engines_) DropLeftovers(state);
   engines_.clear();
-  // Merged() orders by time with (kind, actor, seq) tiebreaks, so same-seed
-  // runs feed identical streams; the final sort makes the output canonical
-  // regardless of completion interleaving across engines.
+  // Same-seed runs feed identical per-engine streams; the final sort makes
+  // the output canonical regardless of how completions of different
+  // engines interleaved (or whether they were fed interleaved at all).
   std::sort(done_.begin(), done_.end(),
             [](const IoSpan& x, const IoSpan& y) {
               if (x.engine != y.engine) return x.engine < y.engine;
@@ -124,13 +189,39 @@ std::vector<IoSpan> SpanAssembler::Finish() {
   return std::move(done_);
 }
 
+namespace {
+
+std::vector<IoSpan> FinishInto(SpanAssembler& assembler,
+                               SpanAssemblyStats* stats) {
+  std::vector<IoSpan> spans = assembler.Finish();
+  if (stats != nullptr) *stats = assembler.stats();
+  return spans;
+}
+
+}  // namespace
+
 std::vector<IoSpan> AssembleSpans(const std::vector<TraceEvent>& events,
                                   SpanAssemblyStats* stats) {
   SpanAssembler assembler;
   for (const TraceEvent& event : events) assembler.OnEvent(event);
-  std::vector<IoSpan> spans = assembler.Finish();
-  if (stats != nullptr) *stats = assembler.stats();
-  return spans;
+  return FinishInto(assembler, stats);
+}
+
+std::vector<IoSpan> AssembleSpans(const Recorder& recorder,
+                                  SpanAssemblyStats* stats) {
+  SpanAssembler assembler;
+  std::vector<TraceEvent> scratch;
+  recorder.ForEachActor(ActorKind::kEngine,
+                        [&](std::uint32_t, RingSegments segments) {
+                          segments = TimeOrdered(segments, scratch);
+                          for (const TraceEvent& event : segments.older) {
+                            assembler.OnEvent(event);
+                          }
+                          for (const TraceEvent& event : segments.newer) {
+                            assembler.OnEvent(event);
+                          }
+                        });
+  return FinishInto(assembler, stats);
 }
 
 }  // namespace haechi::obs

@@ -29,6 +29,12 @@
 // queries are never needed because the engine has at most one FAA in flight
 // and the fetch/wait states are engine-global, not per-IO.
 //
+// All assembler state is per engine, so spans depend only on each engine's
+// own event sub-stream. That is why a run's spans can be assembled straight
+// from the recorder's engine rings, one ring after another, with no global
+// time merge: AssembleSpans(recorder) equals AssembleSpans(recorder.Merged())
+// byte for byte, stats included.
+//
 // Everything here compiles out under HAECHI_TRACE=OFF: the notrace build
 // keeps only the type declarations (POD structs a caller may mention) and
 // an inline stub AssembleSpans that returns empty — no assembler object
@@ -37,8 +43,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -103,10 +109,10 @@ struct SpanAssemblyStats {
 
 inline constexpr bool kSpanAssemblyCompiled = true;
 
-/// Streaming span assembler. Feed it trace events in merged (time-ordered)
-/// order — Recorder::Merged() or a parsed CSV trace — then Finish().
-/// Deterministic: the output is sorted by (engine, io_id), so two runs of
-/// the same seed produce byte-identical span streams.
+/// Streaming span assembler. Feed it each engine's events in time order —
+/// Recorder::Merged(), a parsed CSV trace, or one engine ring after another
+/// — then Finish(). Deterministic: the output is sorted by (engine, io_id),
+/// so two runs of the same seed produce byte-identical span streams.
 class SpanAssembler {
  public:
   void OnEvent(const TraceEvent& event);
@@ -126,6 +132,39 @@ class SpanAssembler {
     SimDuration wait0 = 0;   // cumulative wait time at queue
   };
 
+  /// Issued, not yet completed spans of one engine, keyed by io_id: an
+  /// open-addressing table (Robin Hood linear probing, backward-shift
+  /// erase) whose home slot is io_id & mask. io_ids are dense per engine
+  /// and only a window of them is in flight, so each id sits in its home
+  /// slot and a lookup or erase touches one or two slots; any io_id a
+  /// corrupt trace carries still works, just with probing.
+  class InflightTable {
+   public:
+    /// Adds `span` unless its io_id is already in flight, in which case
+    /// the table keeps the earlier span.
+    void Insert(const IoSpan& span);
+    /// Removes the span of `io_id` into `out`; false when absent.
+    bool Take(std::uint64_t io_id, IoSpan& out);
+    [[nodiscard]] std::size_t size() const { return live_; }
+
+   private:
+    struct Slot {
+      bool used = false;
+      IoSpan span;
+    };
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    [[nodiscard]] std::size_t Find(std::uint64_t io_id) const;
+    /// How far slot `i`'s entry sits past its home slot.
+    [[nodiscard]] std::size_t Distance(std::size_t i) const {
+      return (i - slots_[i].span.io_id) & (slots_.size() - 1);
+    }
+    void Grow();
+
+    std::vector<Slot> slots_;  // power-of-two size, or empty
+    std::size_t live_ = 0;
+  };
+
   struct EngineState {
     // Cumulative interval accumulators. `*_open` holds the interval start
     // while one is open, -1 otherwise; Cum*(t) extends an open interval
@@ -134,8 +173,8 @@ class SpanAssembler {
     SimTime fetch_open = -1;
     SimDuration wait_cum = 0;
     SimTime wait_open = -1;
-    std::deque<PendingIo> pending;             // queued, not yet issued
-    std::map<std::uint64_t, IoSpan> inflight;  // issued, not yet completed
+    std::deque<PendingIo> pending;  // queued, not yet issued
+    InflightTable inflight;         // issued, not yet completed
 
     [[nodiscard]] SimDuration CumFetch(SimTime t) const {
       return fetch_cum + (fetch_open >= 0 ? t - fetch_open : 0);
@@ -163,9 +202,15 @@ class SpanAssembler {
     }
   };
 
-  void DropLeftovers(EngineState& state);
+  EngineState& StateFor(std::uint32_t actor);
+  void DropLeftovers(const EngineState& state);
 
-  std::map<std::uint32_t, EngineState> engines_;
+  // Engines sorted by actor. A parsed trace may name any 32-bit actor, so
+  // this is a flat map rather than a vector indexed by actor; `last_`
+  // remembers the previous hit, which is every hit when rings are fed one
+  // engine at a time.
+  std::vector<std::pair<std::uint32_t, EngineState>> engines_;
+  std::size_t last_ = 0;
   std::vector<IoSpan> done_;
   SpanAssemblyStats stats_;
 };
@@ -174,13 +219,24 @@ class SpanAssembler {
 [[nodiscard]] std::vector<IoSpan> AssembleSpans(
     const std::vector<TraceEvent>& events, SpanAssemblyStats* stats = nullptr);
 
+/// The same spans and stats as AssembleSpans(recorder.Merged()), assembled
+/// from the engine rings in place: no merge, no copy of the trace. Needs
+/// quiescent emitters, like Merged().
+[[nodiscard]] std::vector<IoSpan> AssembleSpans(
+    const Recorder& recorder, SpanAssemblyStats* stats = nullptr);
+
 #else  // !HAECHI_TRACE_ENABLED
 
 inline constexpr bool kSpanAssemblyCompiled = false;
 
-// Notrace stub: callers compile, assembly elides to an empty result.
+// Notrace stubs: callers compile, assembly elides to an empty result.
 [[nodiscard]] inline std::vector<IoSpan> AssembleSpans(
     const std::vector<TraceEvent>&, SpanAssemblyStats* stats = nullptr) {
+  if (stats != nullptr) *stats = SpanAssemblyStats{};
+  return {};
+}
+[[nodiscard]] inline std::vector<IoSpan> AssembleSpans(
+    const Recorder&, SpanAssemblyStats* stats = nullptr) {
   if (stats != nullptr) *stats = SpanAssemblyStats{};
   return {};
 }

@@ -218,47 +218,111 @@ void Recorder::SetTap(std::function<void(const TraceEvent&)> tap) {
   }
 }
 
+RingSegments Recorder::Segments(const Ring& ring) {
+  const std::span<const TraceEvent> buf(ring.buf);
+  if (ring.appended <= buf.size()) return {buf, {}};
+  // The ring wrapped: the oldest retained event sits right after the write
+  // cursor.
+  const std::size_t cursor = ring.appended % buf.size();
+  return {buf.subspan(cursor), buf.first(cursor)};
+}
+
 std::vector<TraceEvent> Recorder::ActorEvents(ActorKind kind,
                                               std::uint32_t actor) const {
   const auto& per_kind = rings_[static_cast<std::size_t>(kind)];
   if (actor >= per_kind.size()) return {};
-  const Ring& ring = per_kind[actor];
+  const RingSegments segments = Segments(per_kind[actor]);
   std::vector<TraceEvent> out;
-  out.reserve(ring.buf.size());
-  if (ring.appended <= ring.buf.size()) {
-    out = ring.buf;
-  } else {
-    // The ring wrapped: the oldest retained event sits right after the
-    // write cursor.
-    const std::size_t cursor = ring.appended % ring.buf.size();
-    out.insert(out.end(), ring.buf.begin() + static_cast<std::ptrdiff_t>(cursor),
-               ring.buf.end());
-    out.insert(out.end(), ring.buf.begin(),
-               ring.buf.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
+  out.reserve(segments.size());
+  out.insert(out.end(), segments.older.begin(), segments.older.end());
+  out.insert(out.end(), segments.newer.begin(), segments.newer.end());
   return out;
 }
 
-std::vector<TraceEvent> Recorder::Merged() const {
-  std::vector<TraceEvent> out;
-  for (std::size_t kind = 0; kind < kActorKinds; ++kind) {
-    for (std::uint32_t actor = 0; actor < rings_[kind].size(); ++actor) {
-      const auto events =
-          ActorEvents(static_cast<ActorKind>(kind), actor);
-      out.insert(out.end(), events.begin(), events.end());
-    }
+RingSegments TimeOrdered(RingSegments segments,
+                         std::vector<TraceEvent>& scratch) {
+  const auto earlier = [](const TraceEvent& x, const TraceEvent& y) {
+    return x.time < y.time;
+  };
+  const auto& [older, newer] = segments;
+  if (std::is_sorted(older.begin(), older.end(), earlier) &&
+      std::is_sorted(newer.begin(), newer.end(), earlier) &&
+      (newer.empty() || older.back().time <= newer.front().time)) {
+    return segments;
   }
-  // Deterministic global order: per-actor streams are already seq-ordered,
-  // and the tiebreak on (kind, actor, seq) is total.
-  std::sort(out.begin(), out.end(),
+  // A ring with several writers (the threaded harness ring) can hold a
+  // later-stamped event before an earlier one. Sorting just that ring by
+  // (time, seq) gives the sub-stream a global sort would.
+  scratch.assign(older.begin(), older.end());
+  scratch.insert(scratch.end(), newer.begin(), newer.end());
+  std::sort(scratch.begin(), scratch.end(),
             [](const TraceEvent& x, const TraceEvent& y) {
               if (x.time != y.time) return x.time < y.time;
-              if (x.actor_kind != y.actor_kind) {
-                return x.actor_kind < y.actor_kind;
-              }
-              if (x.actor != y.actor) return x.actor < y.actor;
               return x.seq < y.seq;
             });
+  return {scratch, {}};
+}
+
+std::vector<TraceEvent> Recorder::Merged() const {
+  // One cursor per non-empty segment, numbered in (kind, actor, older ->
+  // newer) order. Every ring is (time, seq)-ordered, so a min-heap keyed on
+  // (head time, number) yields the total order (time, kind, actor, seq) in
+  // one pass.
+  struct Cursor {
+    SimTime time;          // time of *at
+    std::uint32_t order;   // position in (kind, actor, segment) order
+    const TraceEvent* at;  // next event
+    const TraceEvent* end;
+  };
+  std::vector<std::vector<TraceEvent>> sorted;  // copies of unordered rings
+  std::vector<Cursor> heap;
+  std::size_t total = 0;
+  for (std::size_t kind = 0; kind < kActorKinds; ++kind) {
+    ForEachActor(static_cast<ActorKind>(kind),
+                 [&](std::uint32_t, RingSegments segments) {
+                   std::vector<TraceEvent> scratch;
+                   segments = TimeOrdered(segments, scratch);
+                   if (!scratch.empty()) sorted.push_back(std::move(scratch));
+                   total += segments.size();
+                   for (const std::span<const TraceEvent> part :
+                        {segments.older, segments.newer}) {
+                     if (part.empty()) continue;
+                     heap.push_back({part.front().time,
+                                     static_cast<std::uint32_t>(heap.size()),
+                                     part.data(), part.data() + part.size()});
+                   }
+                 });
+  }
+  const auto later = [](const Cursor& x, const Cursor& y) {
+    return x.time != y.time ? x.time > y.time : x.order > y.order;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+
+  std::vector<TraceEvent> out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    Cursor& top = heap.front();
+    out.push_back(*top.at);
+    if (++top.at == top.end) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
+      continue;
+    }
+    top.time = top.at->time;
+    // Sift the advanced cursor down. A ring's events come in bursts, so it
+    // usually stays on top after one or two comparisons.
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= heap.size()) break;
+      if (child + 1 < heap.size() && later(heap[child], heap[child + 1])) {
+        ++child;
+      }
+      if (!later(heap[i], heap[child])) break;
+      std::swap(heap[i], heap[child]);
+      i = child;
+    }
+  }
   return out;
 }
 

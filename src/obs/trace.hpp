@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -188,6 +189,26 @@ struct TraceEvent {
 };
 static_assert(sizeof(TraceEvent) == 56);
 
+/// One actor's retained events, oldest first, as the (at most two)
+/// contiguous pieces of its ring: `older` runs from the oldest retained
+/// event to the end of the buffer, `newer` wraps around to the write cursor
+/// (empty until the ring wraps).
+struct RingSegments {
+  std::span<const TraceEvent> older;
+  std::span<const TraceEvent> newer;
+
+  [[nodiscard]] std::size_t size() const {
+    return older.size() + newer.size();
+  }
+};
+
+/// `segments` in (time, seq) order, the order a time-ordered merge yields
+/// for one actor. A ring whose timestamps never decrease (every
+/// single-writer ring) is returned as is; otherwise its events are copied
+/// into `scratch`, sorted there, and returned as one segment.
+[[nodiscard]] RingSegments TimeOrdered(RingSegments segments,
+                                       std::vector<TraceEvent>& scratch);
+
 /// Per-actor bounded flight-recorder rings, stamped from the simulator
 /// clock. Install as the process-active recorder with ScopedRecorder; the
 /// instrumentation macros write to whatever recorder is active (nullptr =
@@ -270,12 +291,24 @@ class Recorder {
   }
 
   /// All retained events merged into one deterministic stream, ordered by
-  /// (time, actor_kind, actor, seq).
+  /// (time, actor_kind, actor, seq): one k-way merge of the time-ordered
+  /// rings, with no global sort.
   [[nodiscard]] std::vector<TraceEvent> Merged() const;
 
   /// Retained events of one actor, oldest first.
   [[nodiscard]] std::vector<TraceEvent> ActorEvents(ActorKind kind,
                                                     std::uint32_t actor) const;
+
+  /// Calls `fn(actor, RingSegments)` for every actor of `kind` that has a
+  /// ring, in actor order, without copying an event. Like Merged(), needs
+  /// quiescent emitters; the segments are valid until the next emit.
+  template <typename Fn>
+  void ForEachActor(ActorKind kind, Fn&& fn) const {
+    const auto& per_kind = rings_[static_cast<std::size_t>(kind)];
+    for (std::uint32_t actor = 0; actor < per_kind.size(); ++actor) {
+      fn(actor, Segments(per_kind[actor]));
+    }
+  }
 
  private:
   struct Ring {
@@ -286,6 +319,7 @@ class Recorder {
   using TapFn = std::function<void(const TraceEvent&)>;
 
   Ring& RingFor(ActorKind kind, std::uint32_t actor);
+  [[nodiscard]] static RingSegments Segments(const Ring& ring);
   void RunTap(const TraceEvent& event);
 
   sim::Simulator* sim_ = nullptr;  // stamps Emit when no clock_ is set

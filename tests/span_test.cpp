@@ -8,8 +8,13 @@
 // contract is checked.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -19,6 +24,7 @@
 #include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 #include "workload/distributions.hpp"
 
 namespace haechi {
@@ -148,6 +154,44 @@ TEST(SpanAssembler, TruncatedStreamsLandInDropCountersNotSpans) {
   EXPECT_EQ(stats.dropped_uncompleted, 1u);
 }
 
+TEST(SpanAssembler, InFlightIoIdsThatShareASlotCompleteInAnyOrder) {
+  // io_ids 1024 apart share a home slot at every table size the assembler
+  // reaches here, so each lookup and erase walks a probe run. Completing
+  // them out of order must still pair every completion with its issue.
+  constexpr std::uint64_t kIos = 20;
+  constexpr std::uint64_t kStride = 1024;
+  EventBuilder b;
+  for (std::uint64_t k = 0; k < kIos; ++k) {
+    const auto io_id = static_cast<std::int64_t>(k * kStride);
+    b.Emit(static_cast<SimTime>(10 * k), 0, EventType::kIoQueued, io_id, 1);
+    b.Emit(static_cast<SimTime>(10 * k + 5), 0, EventType::kIoIssue, io_id,
+           0, 1);
+  }
+  // A second issue of a live io_id keeps the first span, as a map would.
+  b.Emit(300, 0, EventType::kIoQueued, 0, 1);
+  b.Emit(305, 0, EventType::kIoIssue, 0, 1, 1);
+  // Complete in a scrambled order: 7 is coprime with 20.
+  for (std::uint64_t n = 0; n < kIos; ++n) {
+    const std::uint64_t k = (n * 7) % kIos;
+    b.Emit(static_cast<SimTime>(1000 + k), 0, EventType::kIoComplete,
+           static_cast<std::int64_t>(k * kStride), 0);
+  }
+  b.Emit(2000, 0, EventType::kIoComplete, 5 * kStride, 0);  // already done
+
+  obs::SpanAssemblyStats stats;
+  const std::vector<IoSpan> spans = obs::AssembleSpans(b.events(), &stats);
+  ASSERT_EQ(spans.size(), kIos);
+  EXPECT_EQ(stats.orphan_events, 1u);
+  EXPECT_EQ(stats.dropped_uncompleted, 0u);
+  for (std::uint64_t k = 0; k < kIos; ++k) {
+    const IoSpan& span = spans[k];
+    EXPECT_EQ(span.io_id, k * kStride);
+    EXPECT_EQ(span.token_source, 0);
+    EXPECT_EQ(span.issued_at, static_cast<SimTime>(10 * k + 5));
+    EXPECT_EQ(span.completed_at, static_cast<SimTime>(1000 + k));
+  }
+}
+
 TEST(SpanProfile, TableIsDeterministicAndRollsUpAllEngines) {
   EventBuilder b;
   for (std::uint32_t engine = 0; engine < 2; ++engine) {
@@ -195,6 +239,58 @@ TEST(SpanMetrics, SnapshotHistogramsEmitsTailQuantilesForThePrefixOnly) {
     if (row.kind == "histogram_count") EXPECT_EQ(row.value, 100.0);
   }
   EXPECT_TRUE(saw_p999);
+}
+
+TEST(SpanAssembler, InFlightTableMatchesAnOrderedMapOnRandomIoIds) {
+  // A reference std::map predicts which completions pair with an issue.
+  // The ids mix a dense sliding window (the real shape), re-issues of live
+  // ids, and arbitrary 64-bit ids (what a corrupt trace can carry).
+  std::mt19937_64 rng(7);
+  std::map<std::uint64_t, SimTime> live;  // io_id -> issued_at
+  std::vector<std::tuple<std::uint64_t, SimTime, SimTime>> expected;
+  std::uint64_t orphans = 0;
+  std::uint64_t next_dense = 0;
+  EventBuilder b;
+  for (SimTime t = 0; t < 20000; ++t) {
+    const std::uint64_t roll = rng() % 10;
+    if (roll < 5) {
+      std::uint64_t io_id = next_dense++;
+      if (roll == 0) io_id = rng();
+      if (roll == 1 && !live.empty()) io_id = live.begin()->first;
+      b.Emit(t, 0, EventType::kIoQueued, static_cast<std::int64_t>(io_id), 1);
+      b.Emit(t, 0, EventType::kIoIssue, static_cast<std::int64_t>(io_id), 0,
+             0);
+      live.emplace(io_id, t);
+    } else {
+      std::uint64_t io_id = rng();  // usually an orphan
+      if (roll < 9 && !live.empty()) {
+        auto it = live.lower_bound(rng() % (next_dense + 1));
+        if (it == live.end()) it = live.begin();
+        io_id = it->first;
+      }
+      b.Emit(t, 0, EventType::kIoComplete, static_cast<std::int64_t>(io_id),
+             0);
+      if (const auto it = live.find(io_id); it != live.end()) {
+        expected.emplace_back(io_id, it->second, t);
+        live.erase(it);
+      } else {
+        ++orphans;
+      }
+    }
+  }
+
+  obs::SpanAssemblyStats stats;
+  const std::vector<IoSpan> spans = obs::AssembleSpans(b.events(), &stats);
+  EXPECT_EQ(stats.orphan_events, orphans);
+  EXPECT_EQ(stats.dropped_uncompleted, live.size());
+  std::vector<std::tuple<std::uint64_t, SimTime, SimTime>> got;
+  for (const IoSpan& span : spans) {
+    got.emplace_back(span.io_id, span.issued_at, span.completed_at);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(expected.size(), 5000u);
 }
 
 harness::ExperimentConfig DetailConfig(std::uint64_t seed) {
@@ -270,11 +366,7 @@ void CheckSpanStructure(const std::vector<IoSpan>& spans) {
   EXPECT_TRUE(saw_service);
 }
 
-TEST(SpanEndToEnd, SimulatedAndThreadedRuntimesAgreeOnStageStructure) {
-  harness::Experiment sim_experiment(DetailConfig(23));
-  const harness::ExperimentResult sim_result = sim_experiment.Run();
-  CheckSpanStructure(sim_result.spans);
-
+harness::ExperimentConfig ThreadedDetailConfig() {
   harness::ExperimentConfig config;
   config.mode = harness::Mode::kHaechi;
   config.qos.period = Millis(100);
@@ -298,12 +390,79 @@ TEST(SpanEndToEnd, SimulatedAndThreadedRuntimesAgreeOnStageStructure) {
   config.trace.enabled = true;
   config.trace.detail = true;
   config.trace.ring_capacity = 1u << 20;
-  harness::ThreadedExperiment threaded(std::move(config));
+  return config;
+}
+
+TEST(SpanEndToEnd, SimulatedAndThreadedRuntimesAgreeOnStageStructure) {
+  harness::Experiment sim_experiment(DetailConfig(23));
+  const harness::ExperimentResult sim_result = sim_experiment.Run();
+  CheckSpanStructure(sim_result.spans);
+
+  harness::ThreadedExperiment threaded(ThreadedDetailConfig());
   threaded.Run();
   ASSERT_NE(threaded.recorder(), nullptr);
   const std::vector<IoSpan> threaded_spans =
       obs::AssembleSpans(threaded.recorder()->Merged());
   CheckSpanStructure(threaded_spans);
+}
+
+/// Assembling from the engine rings must reproduce the merged-stream
+/// assembly byte for byte, stats included. Returns the shared stats.
+obs::SpanAssemblyStats ExpectRingAssemblyMatchesMerged(
+    const obs::Recorder& recorder) {
+  obs::SpanAssemblyStats merged_stats;
+  const std::vector<IoSpan> merged =
+      obs::AssembleSpans(recorder.Merged(), &merged_stats);
+  obs::SpanAssemblyStats ring_stats;
+  const std::vector<IoSpan> from_rings =
+      obs::AssembleSpans(recorder, &ring_stats);
+  EXPECT_EQ(ring_stats.spans, merged_stats.spans);
+  EXPECT_EQ(ring_stats.dropped_unissued, merged_stats.dropped_unissued);
+  EXPECT_EQ(ring_stats.dropped_uncompleted, merged_stats.dropped_uncompleted);
+  EXPECT_EQ(ring_stats.orphan_events, merged_stats.orphan_events);
+  EXPECT_EQ(from_rings.size(), merged.size());
+  if (from_rings.size() == merged.size() && !merged.empty()) {
+    EXPECT_EQ(std::memcmp(from_rings.data(), merged.data(),
+                          merged.size() * sizeof(IoSpan)),
+              0);
+  }
+  return merged_stats;
+}
+
+TEST(SpanFromRings, MatchesMergedAssemblyOnASimDetailRun) {
+  harness::Experiment experiment(DetailConfig(31));
+  const harness::ExperimentResult result = experiment.Run();
+  ASSERT_NE(experiment.recorder(), nullptr);
+  const obs::SpanAssemblyStats stats =
+      ExpectRingAssemblyMatchesMerged(*experiment.recorder());
+  EXPECT_GT(stats.spans, 0u);
+  EXPECT_EQ(experiment.recorder()->TotalDropped(), 0u);
+  // The harness assembles from the rings too.
+  EXPECT_EQ(result.span_stats.spans, stats.spans);
+  ASSERT_EQ(result.spans.size(), stats.spans);
+}
+
+TEST(SpanFromRings, MatchesMergedAssemblyWhenRingsWrap) {
+  harness::ExperimentConfig config = DetailConfig(37);
+  config.trace.ring_capacity = 40000;  // wraps, yet keeps whole spans
+  harness::Experiment experiment(std::move(config));
+  experiment.Run();
+  ASSERT_NE(experiment.recorder(), nullptr);
+  EXPECT_GT(experiment.recorder()->TotalDropped(), 0u);
+  const obs::SpanAssemblyStats stats =
+      ExpectRingAssemblyMatchesMerged(*experiment.recorder());
+  EXPECT_GT(stats.spans, 0u);
+  EXPECT_GT(stats.dropped_unissued + stats.dropped_uncompleted, 0u);
+  EXPECT_GT(stats.orphan_events, 0u);
+}
+
+TEST(SpanFromRings, MatchesMergedAssemblyOnAThreadedDetailRun) {
+  harness::ThreadedExperiment threaded(ThreadedDetailConfig());
+  threaded.Run();
+  ASSERT_NE(threaded.recorder(), nullptr);
+  const obs::SpanAssemblyStats stats =
+      ExpectRingAssemblyMatchesMerged(*threaded.recorder());
+  EXPECT_GT(stats.spans, 0u);
 }
 
 #else  // !HAECHI_TRACE_ENABLED
@@ -315,6 +474,13 @@ TEST(SpanAssembler, NotraceStubReturnsEmptyAndAdvertisesItself) {
   const std::vector<TraceEvent> events(3);
   EXPECT_TRUE(obs::AssembleSpans(events, &stats).empty());
   EXPECT_EQ(stats.spans, 0u);
+  EXPECT_EQ(stats.orphan_events, 0u);
+
+  sim::Simulator sim;
+  obs::Recorder recorder(sim);
+  recorder.Emit(ActorKind::kEngine, 0, EventType::kIoQueued, 1);
+  stats.orphan_events = 99;
+  EXPECT_TRUE(obs::AssembleSpans(recorder, &stats).empty());
   EXPECT_EQ(stats.orphan_events, 0u);
 }
 

@@ -6,10 +6,15 @@
 // byte-identical traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/runtime_experiment.hpp"
 #include "obs/alerts.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -122,6 +127,57 @@ TEST(Recorder, MergedOrdersByTimeThenKindThenActorThenSeq) {
   EXPECT_EQ(merged[2].actor, 0u);  // engine 0 before engine 1
   EXPECT_EQ(merged[3].actor, 1u);
   EXPECT_EQ(merged[4].actor_kind, ActorKind::kFabric);
+}
+
+/// The order Merged() promises, computed the slow way: every actor's
+/// retained events concatenated, then one global sort.
+std::vector<TraceEvent> ReferenceMerge(const Recorder& recorder) {
+  std::vector<TraceEvent> all;
+  for (std::size_t k = 0; k < obs::kActorKinds; ++k) {
+    const auto kind = static_cast<ActorKind>(k);
+    recorder.ForEachActor(kind, [&](std::uint32_t actor, obs::RingSegments) {
+      const std::vector<TraceEvent> events = recorder.ActorEvents(kind, actor);
+      all.insert(all.end(), events.begin(), events.end());
+    });
+  }
+  std::sort(all.begin(), all.end(),
+            [](const TraceEvent& x, const TraceEvent& y) {
+              return std::tie(x.time, x.actor_kind, x.actor, x.seq) <
+                     std::tie(y.time, y.actor_kind, y.actor, y.seq);
+            });
+  return all;
+}
+
+void ExpectMergedMatchesReference(const Recorder& recorder) {
+  const std::vector<TraceEvent> merged = recorder.Merged();
+  const std::vector<TraceEvent> reference = ReferenceMerge(recorder);
+  ASSERT_EQ(merged.size(), reference.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&merged[i], &reference[i], sizeof(TraceEvent)), 0)
+        << "first difference at event " << i << " of " << merged.size();
+  }
+}
+
+TEST(Recorder, MergedFallsBackToSortingARingWithAnOutOfOrderStamp) {
+  Recorder recorder([] { return SimTime{0}; }, SmallRing(4));
+  // Two writers share the harness ring: the second stamps earlier.
+  recorder.EmitAt(30, ActorKind::kHarness, 0, EventType::kMeasureStart, 0);
+  recorder.EmitAt(20, ActorKind::kHarness, 0, EventType::kClientCrash, 0);
+  recorder.EmitAt(40, ActorKind::kHarness, 0, EventType::kMeasureEnd, 0);
+  // A wrapped, ordered ring and a single-event ring tie on timestamps.
+  for (SimTime t = 10; t <= 60; t += 10) {
+    recorder.EmitAt(t, ActorKind::kEngine, 2, EventType::kTokenFetch, 1);
+  }
+  recorder.EmitAt(20, ActorKind::kMonitor, 0, EventType::kPoolSample, 1);
+
+  const std::vector<TraceEvent> merged = recorder.Merged();
+  ASSERT_EQ(merged.size(), 3u + 4u + 1u);  // engine kept its newest 4
+  EXPECT_EQ(merged[0].actor_kind, ActorKind::kMonitor);    // t=20, kind 0
+  EXPECT_EQ(merged[1].type, EventType::kClientCrash);      // t=20, seq 1
+  EXPECT_EQ(merged[2].actor_kind, ActorKind::kEngine);     // t=30, kind 1
+  EXPECT_EQ(merged[3].type, EventType::kMeasureStart);     // t=30, seq 0
+  EXPECT_EQ(merged[4].time, 40);
+  ExpectMergedMatchesReference(recorder);
 }
 
 TEST(Recorder, MacroArgumentsAreNotEvaluatedWithoutAnActiveRecorder) {
@@ -473,6 +529,47 @@ TEST(TraceDeterminism, ExportedFileRoundTripsThroughTheFilesystem) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().size(), experiment.recorder()->Merged().size());
   std::remove(path.c_str());
+}
+
+TEST(Recorder, MergedMatchesAGlobalSortOnASimRun) {
+  harness::ExperimentConfig config = TracedChaosConfig(5);
+  config.measure_periods = 2;
+  config.trace.detail = true;
+  config.trace.ring_capacity = 5000;  // wrap: rings split in two segments
+  harness::Experiment experiment(std::move(config));
+  experiment.Run();
+  ASSERT_NE(experiment.recorder(), nullptr);
+#if HAECHI_TRACE_ENABLED
+  EXPECT_GT(experiment.recorder()->TotalDropped(), 0u);
+#endif
+  ExpectMergedMatchesReference(*experiment.recorder());
+}
+
+TEST(Recorder, MergedMatchesAGlobalSortOnAThreadedRun) {
+  harness::ExperimentConfig config;
+  config.mode = harness::Mode::kHaechi;
+  config.qos.period = Millis(100);
+  config.qos.token_batch = 50;
+  config.profiled_global_iops = 100000;
+  config.profiled_local_iops = 60000;
+  config.records = 256;
+  config.warmup = Millis(100);
+  config.measure_periods = 2;
+  config.runtime_workers = 2;
+  for (const std::int64_t r : {3000, 2000}) {
+    harness::ClientSpec spec;
+    spec.reservation = r;
+    spec.demand = r + 1000;
+    spec.pattern = workload::RequestPattern::kOpenLoop;
+    config.clients.push_back(spec);
+  }
+  config.trace.enabled = true;
+  config.trace.detail = true;
+  config.trace.ring_capacity = 1u << 18;
+  harness::ThreadedExperiment experiment(std::move(config));
+  experiment.Run();
+  ASSERT_NE(experiment.recorder(), nullptr);
+  ExpectMergedMatchesReference(*experiment.recorder());
 }
 
 }  // namespace
