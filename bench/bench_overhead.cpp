@@ -137,6 +137,61 @@ void BM_FairShareStationRoundRobin(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareStationRoundRobin);
 
+/// A round-robin station whose flow table spans 60 flow ids at stride 6
+/// (0..354): the shape a node's stations take when the flow is the global
+/// QP id of 60 clients with 6 QPs each. `backlogged` of those flows, spread
+/// evenly over the table, stay backlogged; Step() submits one item and
+/// serves one, so the arbiter searches a long, mostly idle table per item.
+class SparseRoundRobinRig {
+ public:
+  static constexpr net::FlowId kStride = 6;
+  static constexpr net::FlowId kFlows = 60;
+  static constexpr SimDuration kService = 100;
+
+  explicit SparseRoundRobinRig(int backlogged)
+      : station_(sim_, "bench", 0.0, 1, net::Discipline::kRoundRobin),
+        backlogged_(backlogged) {
+    for (net::FlowId f = 0; f < kFlows; ++f) {
+      station_.Submit(f * kStride, kService, [this] { ++served_; });
+    }
+    sim_.Run();
+    for (int i = 0; i < backlogged_; ++i) {
+      Submit(i);
+      Submit(i);
+    }
+  }
+
+  void Step() {
+    Submit(next_);
+    next_ = (next_ + 1) % backlogged_;
+    sim_.RunUntil(sim_.Now() + kService);
+  }
+
+  [[nodiscard]] std::uint64_t served() const { return served_; }
+
+ private:
+  void Submit(int i) {
+    const auto flow = static_cast<net::FlowId>(i) *
+                      (kFlows / static_cast<net::FlowId>(backlogged_)) *
+                      kStride;
+    station_.Submit(flow, kService, [this] { ++served_; });
+  }
+
+  sim::Simulator sim_;
+  net::FairShareStation station_;
+  int backlogged_;
+  int next_ = 0;
+  std::uint64_t served_ = 0;
+};
+
+void BM_FairShareStationSparseRoundRobin(benchmark::State& state) {
+  SparseRoundRobinRig rig(static_cast<int>(state.range(0)));
+  for (auto _ : state) rig.Step();
+  benchmark::DoNotOptimize(rig.served());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FairShareStationSparseRoundRobin)->Arg(1)->Arg(60);
+
 // --- token management hot paths ---------------------------------------------
 
 void BM_ReportPacking(benchmark::State& state) {
@@ -528,12 +583,13 @@ double MeasureSpanAssemblyNsPerSpan() {
 #endif
 }
 
-// --- hand-rolled runtime micro measurements (into the JSON) -----------------
+// --- hand-rolled micro measurements (into the JSON) -------------------------
 // The google benchmarks above give the interactive view; these feed the
-// same two contrasts (sharded-vs-single-word FAA, padded-vs-packed seqlock
-// writes) into BENCH_overhead.json so the bench_regress --overhead-bin
-// refresh captures them without running the google-benchmark suite. Pure
-// wall-clock numbers: regenerated, never gate-compared.
+// same contrasts (sparse round-robin arbitration, sharded-vs-single-word
+// FAA, padded-vs-packed seqlock writes) into BENCH_overhead.json so the
+// bench_regress --overhead-bin refresh captures them without running the
+// google-benchmark suite. Pure wall-clock numbers: regenerated, never
+// gate-compared.
 
 /// Runs `op(thread_index)` iters-per-thread times on `threads` threads and
 /// returns mean wall nanoseconds per op.
@@ -583,6 +639,21 @@ double MeasureSeqlockWriteNsPerOp(bool padded, int threads) {
   });
 }
 
+/// Wall nanoseconds per item through SparseRoundRobinRig: one submit, one
+/// round-robin arbitration and one service event.
+double MeasureStationRrNsPerItem(int backlogged) {
+  SparseRoundRobinRig rig(backlogged);
+  constexpr std::int64_t kWarmup = 100'000;
+  constexpr std::int64_t kItems = 2'000'000;
+  for (std::int64_t i = 0; i < kWarmup; ++i) rig.Step();
+  const auto begin = std::chrono::steady_clock::now();
+  for (std::int64_t i = 0; i < kItems; ++i) rig.Step();
+  const auto end = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(rig.served());
+  return std::chrono::duration<double, std::nano>(end - begin).count() /
+         static_cast<double>(kItems);
+}
+
 /// Ceiling on the B=1 detail-tracing + span-assembly slowdown, in percent
 /// of recorder-off throughput: the measured delta (median of three sweeps
 /// on a 4-core host, 52%) plus a 15.5-point band for wall-clock noise;
@@ -592,7 +663,8 @@ constexpr double kSpanDeltaGatePercent = 67.5;
 
 /// Sweeps B in {1, 10, 100, 1000} with the recorder off then on and writes
 /// the machine-readable summary the overhead contract is checked against —
-/// plus the sharded-FAA and seqlock-padding micro numbers.
+/// plus the round-robin arbitration, sharded-FAA and seqlock-padding micro
+/// numbers.
 int WriteOverheadJson(const std::string& path) {
   std::vector<OverheadRun> runs;
   for (const std::int64_t batch : {1, 10, 100, 1000}) {
@@ -658,12 +730,23 @@ int WriteOverheadJson(const std::string& path) {
   std::fprintf(out, "  \"span_assembly_ns_per_span\": %.1f,\n",
                MeasureSpanAssemblyNsPerSpan());
 
-  // Sharded-vs-single-word pool FAA and padded-vs-packed seqlock report
-  // writes (wall ns/op; informational, not gate-compared).
-  std::fprintf(out, "  \"pool_faa_ns_per_op\": [\n");
+  // Round-robin arbitration over a sparse 360-id flow table, sharded-vs-
+  // single-word pool FAA and padded-vs-packed seqlock report writes (wall
+  // ns per item/op; informational, not gate-compared).
+  std::fprintf(out, "  \"station_rr_ns_per_item\": [\n");
+  bool first = true;
+  for (const int backlogged : {1, 60}) {
+    std::fprintf(out, "%s    {\"flow_ids\": %u, \"backlogged\": %d, "
+                      "\"ns_per_item\": %.1f}",
+                 first ? "" : ",\n",
+                 SparseRoundRobinRig::kFlows * SparseRoundRobinRig::kStride,
+                 backlogged, MeasureStationRrNsPerItem(backlogged));
+    first = false;
+  }
+  std::fprintf(out, "\n  ],\n  \"pool_faa_ns_per_op\": [\n");
   const std::size_t shard_counts[] = {1, 4, 8};
   const int thread_counts[] = {1, 4, 8};
-  bool first = true;
+  first = true;
   for (const std::size_t shards : shard_counts) {
     for (const int threads : thread_counts) {
       std::fprintf(out, "%s    {\"shards\": %zu, \"threads\": %d, "

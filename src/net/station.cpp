@@ -1,5 +1,6 @@
 #include "net/station.hpp"
 
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -17,40 +18,6 @@ SimDuration ApplyJitter(SimDuration service, double jitter, Rng& rng) {
 }
 
 }  // namespace detail
-
-SerialStation::SerialStation(sim::Simulator& sim, std::string name,
-                             double jitter, std::uint64_t seed)
-    : sim_(sim), name_(std::move(name)), jitter_(jitter), rng_(seed) {}
-
-void SerialStation::Submit(SimDuration service_time, ServiceDoneFn done) {
-  HAECHI_EXPECTS(service_time > 0);
-  HAECHI_EXPECTS(done != nullptr);
-  queue_.push_back(Item{service_time, std::move(done)});
-  if (!busy_) StartNext();
-}
-
-void SerialStation::StartNext() {
-  HAECHI_ASSERT(!busy_);
-  if (queue_.empty()) return;
-  busy_ = true;
-  Item item = std::move(queue_.front());
-  queue_.pop_front();
-  const SimDuration service =
-      detail::ApplyJitter(item.service, jitter_, rng_);
-  busy_time_ += service;
-  in_service_ = std::move(item.done);
-  sim_.ScheduleAfter(service, [this] { Finish(); });
-}
-
-void SerialStation::Finish() {
-  busy_ = false;
-  ++served_;
-  ServiceDoneFn done = std::move(in_service_);
-  // Start the next item before running the callback: if the callback
-  // submits new work it should queue behind already-waiting items.
-  StartNext();
-  done();
-}
 
 FairShareStation::FairShareStation(sim::Simulator& sim, std::string name,
                                    double jitter, std::uint64_t seed,
@@ -72,8 +39,12 @@ void FairShareStation::Submit(FlowId flow, SimDuration service_time,
     ++fifo_depths_[flow];
     fifo_.push_back(Item{service_time, std::move(done), flow});
   } else {
-    if (flow >= flows_.size()) flows_.resize(flow + 1);
+    if (flow >= flows_.size()) {
+      flows_.resize(flow + 1);
+      backlog_.resize((flows_.size() + 63) / 64);
+    }
     flows_[flow].push_back(Item{service_time, std::move(done), flow});
+    backlog_[flow / 64] |= std::uint64_t{1} << (flow % 64);
   }
   ++queued_;
   if (!busy_) StartNext();
@@ -87,12 +58,20 @@ std::size_t FairShareStation::QueueDepth(FlowId flow) const {
 }
 
 std::size_t FairShareStation::FindNextActive() const {
-  const std::size_t n = flows_.size();
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t idx = (cursor_ + step) % n;
-    if (!flows_[idx].empty()) return idx;
+  const std::size_t words = backlog_.size();
+  if (words == 0) return flows_.size();
+  // The cursor's word with the flows before the cursor masked off, then
+  // every later word, wrapping to word 0 and ending on the cursor's word
+  // again, unmasked, for the flows before the cursor.
+  std::size_t word = cursor_ / 64;
+  std::uint64_t bits = backlog_[word] & (~std::uint64_t{0} << (cursor_ % 64));
+  for (std::size_t step = 0; step < words; ++step) {
+    if (bits != 0) break;
+    word = word + 1 == words ? 0 : word + 1;
+    bits = backlog_[word];
   }
-  return n;
+  if (bits == 0) return flows_.size();
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void FairShareStation::StartNext() {
@@ -110,9 +89,12 @@ void FairShareStation::StartNext() {
     --fifo_depths_[item.flow];
   } else {
     const std::size_t idx = FindNextActive();
-    HAECHI_ASSERT(idx < flows_.size());
+    HAECHI_ASSERT(idx < flows_.size() && !flows_[idx].empty());
     item = std::move(flows_[idx].front());
     flows_[idx].pop_front();
+    if (flows_[idx].empty()) {
+      backlog_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    }
     cursor_ = (idx + 1) % flows_.size();  // next search starts past this one
   }
   --queued_;
@@ -127,6 +109,8 @@ void FairShareStation::Finish() {
   busy_ = false;
   ++served_;
   ServiceDoneFn done = std::move(in_service_);
+  // Start the next item before running the callback: if the callback
+  // submits new work it should queue behind already-waiting items.
   StartNext();
   done();
 }

@@ -2,14 +2,14 @@
 //
 // A station serves work items one at a time from its queue(s); each item
 // carries its own service time (computed by the NIC model from the op size)
-// and a completion callback. Two disciplines are provided:
-//
-//  * SerialStation — single FIFO. Models a client adapter's DMA pipeline.
-//  * FairShareStation — multi-flow station for the data-node adapter (and
-//    the RPC dispatch CPU), serving either in strict arrival order (kFifo,
-//    the RNIC responder behaviour) or round-robin per flow (ablation).
-//    Either way, saturated capacity divides equally among closed-loop
-//    backlogged clients, as the paper observes in Experiment 1C.
+// and a completion callback. FairShareStation is the one station type:
+// every node's out-NIC, in-NIC and RPC dispatch CPU is one. It serves bulk
+// items either round-robin per flow (kRoundRobin, the RNIC responder
+// behaviour and the default, see ModelParams::responder_discipline) or in
+// strict arrival order (kFifo, an ablation). With a single flow both
+// disciplines reduce to one FIFO queue. Under round robin, saturated
+// capacity divides equally among closed-loop backlogged clients, as the
+// paper observes in Experiment 1C.
 //
 // Optional multiplicative jitter perturbs each service time so profiled
 // capacity has a genuine variance (used by Algorithm 1's sigma).
@@ -26,8 +26,9 @@
 
 namespace haechi::net {
 
-/// Distinguishes traffic sources at a FairShareStation. Flows are small
-/// dense integers (client index or background-job index).
+/// Distinguishes traffic sources at a FairShareStation. The fabric uses the
+/// initiator's global QP id, so a station's flow table is as long as the
+/// largest QP id it has seen, of which only a few are backlogged at once.
 using FlowId = std::uint32_t;
 
 /// Invoked when the station finishes serving an item.
@@ -39,49 +40,6 @@ namespace detail {
 SimDuration ApplyJitter(SimDuration service, double jitter, Rng& rng);
 
 }  // namespace detail
-
-/// Single-queue, single-server FIFO station.
-class SerialStation {
- public:
-  SerialStation(sim::Simulator& sim, std::string name, double jitter,
-                std::uint64_t seed);
-
-  SerialStation(const SerialStation&) = delete;
-  SerialStation& operator=(const SerialStation&) = delete;
-
-  /// Enqueues an item needing `service_time` ns of service; `done` runs at
-  /// the simulated instant service completes.
-  void Submit(SimDuration service_time, ServiceDoneFn done);
-
-  [[nodiscard]] std::size_t QueueDepth() const { return queue_.size(); }
-  [[nodiscard]] bool Busy() const { return busy_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Total items served since construction.
-  [[nodiscard]] std::uint64_t Served() const { return served_; }
-
-  /// Cumulative busy time, for utilisation accounting.
-  [[nodiscard]] SimDuration BusyTime() const { return busy_time_; }
-
- private:
-  struct Item {
-    SimDuration service;
-    ServiceDoneFn done;
-  };
-
-  void StartNext();
-  void Finish();
-
-  sim::Simulator& sim_;
-  std::string name_;
-  double jitter_;
-  Rng rng_;
-  std::deque<Item> queue_;
-  ServiceDoneFn in_service_;  // callback of the item being served
-  bool busy_ = false;
-  std::uint64_t served_ = 0;
-  SimDuration busy_time_ = 0;
-};
 
 /// How a multi-flow station orders bulk service.
 ///
@@ -136,7 +94,8 @@ class FairShareStation {
 
   void StartNext();
   void Finish();
-  /// Index of the next non-empty flow, or flows_.size() if none.
+  /// The first backlogged flow at or after cursor_ in cyclic index order,
+  /// or flows_.size() if none: a word scan of backlog_, O(flows_ / 64).
   [[nodiscard]] std::size_t FindNextActive() const;
 
   sim::Simulator& sim_;
@@ -147,6 +106,7 @@ class FairShareStation {
   std::deque<Item> control_;             // fast-path lane (both disciplines)
   std::deque<Item> fifo_;                // kFifo: one arrival-ordered queue
   std::vector<std::deque<Item>> flows_;  // kRoundRobin: per-flow queues
+  std::vector<std::uint64_t> backlog_;   // bit f set iff flows_[f] non-empty
   std::vector<std::size_t> fifo_depths_; // kFifo: per-flow depth accounting
   std::size_t cursor_ = 0;               // round-robin position (flow index)
   std::size_t queued_ = 0;

@@ -3,7 +3,8 @@
 //
 // Timing model per op (see DESIGN.md §1 and net/model_params.hpp):
 //
-//   initiator out-NIC (SerialStation)  ── link latency ──▶
+//   initiator out-NIC (FairShareStation, flow = initiator QP)
+//   ── link latency ──▶
 //   responder in-NIC (FairShareStation, flow = initiator QP)
 //   ── link latency ──▶ completion at initiator
 //

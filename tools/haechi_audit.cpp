@@ -125,9 +125,20 @@ int Run(int argc, const char* const* argv) {
         static_cast<unsigned long long>(stats.dropped_uncompleted),
         static_cast<unsigned long long>(stats.orphan_events));
     if (stats.spans == 0) {
-      std::fprintf(stderr,
-                   "no spans assembled: the trace has no per-I/O detail "
-                   "events (rerun with --trace-detail)\n");
+      // Detail events that complete no span mean the engine rings wrapped
+      // and lost part of every I/O they hold.
+      const bool has_detail = stats.dropped_unissued +
+                                  stats.dropped_uncompleted +
+                                  stats.orphan_events >
+                              0;
+      std::fprintf(stderr, "%s",
+                   has_detail
+                       ? "no spans assembled: the trace holds per-I/O detail "
+                         "events, but the engine rings wrapped and dropped "
+                         "part of every I/O (rerun with a larger "
+                         "--trace-ring)\n"
+                       : "no spans assembled: the trace has no per-I/O "
+                         "detail events (rerun with --trace-detail)\n");
       return 2;
     }
     return 0;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Configure, build and run the full test suite under every CMake preset
-# (default, asan, tsan, trace, notrace — see CMakePresets.json). The trace
-# preset pins the QoS flight recorder AND the online SLO watchdog ON;
-# notrace compiles both out, proving the zero-cost contracts
+# (default, asan, tsan, notrace — see CMakePresets.json). The default
+# preset builds the QoS flight recorder AND the online SLO watchdog in (both
+# options default to ON); notrace compiles both out, proving the zero-cost
+# contracts
 # (bench_overhead's static_assert, the watchdog's compiled-out wiring) and
 # the trace-gated test skips. Usage:
 #
@@ -35,9 +36,9 @@
 #       rdma, fabric_stress, fault_injection, chaos and alloc tests) — the
 #       gate for src/sim, src/net, src/rdma and op-record pool changes
 #   tools/run_ctest_matrix.sh trace-spans notrace
-#       the span-pipeline gate: the trace preset restricted to the span
-#       suites (trace_test, span_test), then the notrace preset proving the
-#       whole pipeline compiles out
+#       the span-pipeline gate: the default preset restricted to the span
+#       suites (trace_test, span_test, audit_spans_wrapped), then the
+#       notrace preset proving the whole pipeline compiles out
 #   JOBS=8 tools/run_ctest_matrix.sh       # override parallelism
 #   CTEST_TIMEOUT=900 tools/run_ctest_matrix.sh
 #                                          # override the per-test timeout
@@ -57,13 +58,13 @@ cd "$(dirname "$0")/.."
 
 PRESETS=("$@")
 if [[ ${#PRESETS[@]} -eq 0 ]]; then
-  PRESETS=(default asan tsan trace notrace)
+  PRESETS=(default asan tsan notrace)
 fi
 JOBS="${JOBS:-$(nproc)}"
 
 for preset in "${PRESETS[@]}"; do
   # Focused entries are aliases, not CMake presets: build the asan/tsan/
-  # trace preset but run only part of the suite. `asan-<label>` and
+  # default preset but run only part of the suite. `asan-<label>` and
   # `tsan-<label>` select a ctest label (tsan-runtime, asan-harness, ...).
   config_preset="$preset"
   ctest_args=()
@@ -75,7 +76,7 @@ for preset in "${PRESETS[@]}"; do
       config_preset=asan
       ctest_args=(-R '^(sim|station|rdma|fabric_stress|fault_injection|chaos|alloc)_test\.') ;;
     trace-spans)
-      config_preset=trace
+      config_preset=default
       ctest_args=(-L span) ;;
     asan-* | tsan-*)
       config_preset="${preset%%-*}"
